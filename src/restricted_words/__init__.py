@@ -27,7 +27,6 @@ from .identity_checks import (
     check_all,
     check_identity,
 )
-from .quadratic import QuadraticNumber
 from .sequences import (
     Sequence,
     Triangle,
@@ -70,7 +69,6 @@ __all__ = [
     "Dfa",
     "IDENTITY_NAMES",
     "IdentityReport",
-    "QuadraticNumber",
     "Sequence",
     "Triangle",
     "adjudicate_case1_leading_term",

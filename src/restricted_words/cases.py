@@ -18,18 +18,17 @@ and for f_m(n) itself, each of which must agree with the convolution
 triangle built from f_0 (the test suite and the verification harness
 enforce this cell by cell).
 
-Family 3's closed form evaluates sums of powers of the reciprocal roots
-of b*x^2 - a*x + 1 exactly in Q(sqrt(a^2-4b)); the irrational parts
-cancel and the integer is extracted at the end.
+Family 3's closed form sums powers of the reciprocal roots u, v of
+b*x^2 - a*x + 1.  Since u + v = a and u*v = b, the sum is an integer
+combination of the Lucas sequence V(t) = u^t + v^t, so it is evaluated
+in plain ints without ever forming the irrational roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .quadratic import QuadraticNumber
 from .sequences import Sequence, binom
 
 CASE_IDS = (1, 2, 3, 4, 5)
@@ -168,33 +167,19 @@ def _case1_inner(a: int, n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _case3_inv_root_powers(
-    a: int, b: int, limit: int
-) -> tuple[tuple[QuadraticNumber, ...], tuple[QuadraticNumber, ...]]:
-    # 1/alpha = (a - sqrt(D))/2 and 1/beta = (a + sqrt(D))/2 for the
-    # roots alpha, beta of b*x^2 - a*x + 1; powers 0..limit of each
-    D = a * a - 4 * b
-    inv_alpha = QuadraticNumber(Fraction(a, 2), Fraction(-1, 2), D)
-    inv_beta = QuadraticNumber(Fraction(a, 2), Fraction(1, 2), D)
-    pa = [QuadraticNumber(1, 0, D)]
-    pb = [QuadraticNumber(1, 0, D)]
-    for _ in range(limit):
-        pa.append(pa[-1] * inv_alpha)
-        pb.append(pb[-1] * inv_beta)
-    return tuple(pa), tuple(pb)
-
-
-@lru_cache(maxsize=None)
 def _c1_case3(a: int, b: int, n: int, k: int) -> int:
-    pa, pb = _case3_inv_root_powers(a, b, n)
-    D = a * a - 4 * b
-    total = QuadraticNumber(0, 0, D)
-    for j in range(n - k + 1):
+    # c1 = sum_{j=0}^{d} w_j u^j v^(d-j) with d = n-k; the weight w_j is
+    # symmetric under j <-> d-j and u*v = b, so pairing j with d-j gives
+    # w_j b^j V(d-2j), the unpaired middle term (2j = d) being w_j b^j
+    d = n - k
+    lucas = [2, a]
+    while len(lucas) <= d:
+        lucas.append(a * lucas[-1] - b * lucas[-2])
+    total = 0
+    for j in range(d // 2 + 1):
         w = binom(n - j - 1, k - 1) * binom(k + j - 1, k - 1)
-        if w == 0:
-            continue
-        total = total + pa[j + k] * pb[n - j] * w
-    return (total * Fraction(1, b**k)).as_integer()
+        total += w * b**j * (lucas[d - 2 * j] if 2 * j < d else 1)
+    return total
 
 
 def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
@@ -240,7 +225,7 @@ def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
 
 def c1_case3_repunit(b: int, n: int, k: int) -> int:
     """Family-3 closed form specialized to a = b+1, where the roots are
-    1 and 1/b and the quadratic field collapses to plain powers of b."""
+    1 and 1/b and the Lucas-sequence sum collapses to plain powers of b."""
     if b < 1:
         raise ValueError("b must be >= 1")
     _check_cell(n, k)

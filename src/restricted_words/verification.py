@@ -114,21 +114,19 @@ def cross_check(
     c1 = composition_triangle(f0)
     cm = lift_triangle(c1, m) if m >= 1 else None
     enum_len = min(max_len, words.max_enumerable_length(spec, m, budget))
+    # one enumeration per length serves both the plain and the marked checks
+    hists = [
+        words.marked_histogram(spec, m, L, budget=budget, jobs=jobs)
+        for L in range(enum_len + 1)
+    ]
     comparisons: list[Comparison] = []
-
-    def lengths():
-        return range(enum_len + 1)
 
     comparisons.append(
         _compare_pairs(
             "exhaustive-vs-automaton",
             (
-                (
-                    {"len": L},
-                    words.count_exhaustive(spec, m, L, budget=budget, jobs=jobs),
-                    words.count_automaton(spec, m, L),
-                )
-                for L in lengths()
+                ({"len": L}, sum(hist), words.count_automaton(spec, m, L))
+                for L, hist in enumerate(hists)
             ),
         )
     )
@@ -180,10 +178,7 @@ def cross_check(
                         hist[marks],
                         cm.at(L + 1, marks + 1),
                     )
-                    for L in lengths()
-                    for hist in [
-                        words.marked_histogram(spec, m, L, budget=budget, jobs=jobs)
-                    ]
+                    for L, hist in enumerate(hists)
                     for marks in range(L + 1)
                 ),
             )

@@ -127,9 +127,11 @@ def max_enumerable_length(
 
 
 def _letter_columns(rows: np.ndarray, s: int, length: int) -> np.ndarray:
-    # row r encodes a word base-s, most significant letter first
+    # row r encodes a word base-s, most significant letter first; letters
+    # take the smallest signed type that holds 0..s-1 and the -1 run
+    # sentinel of _valid_mask, and the other letter arrays copy it
     divs = s ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return ((rows[:, None] // divs) % s).astype(np.int8)
+    return ((rows[:, None] // divs) % s).astype(np.min_scalar_type(-s))
 
 
 def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
     ok = np.ones(n_rows, dtype=bool)
     if length == 0:
         return ok
-    run_letter = np.full(n_rows, -1, dtype=np.int8)
+    run_letter = np.full(n_rows, -1, dtype=block.dtype)
     run_mod = np.zeros(n_rows, dtype=np.int8)
 
     def run_bad(letters: np.ndarray, mods: np.ndarray) -> np.ndarray:
@@ -202,7 +204,7 @@ def _histogram_block(
         rows = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
         block = _letter_columns(rows, s, free)
         if first is not None:
-            lead = np.full((block.shape[0], 1), first, dtype=np.int8)
+            lead = np.full((block.shape[0], 1), first, dtype=block.dtype)
             block = np.concatenate([lead, block], axis=1)
         mask = _valid_mask(spec, m, block)
         marks = (block[mask] == marked).sum(axis=1)

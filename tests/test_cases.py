@@ -134,7 +134,14 @@ class TestC1Explicit:
         with pytest.raises(ValueError):
             c1_explicit(CaseSpec(4), 3, 0)
 
-    @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+    # off-grid family-3 points reach discriminants a^2-4b = 4 and 9 and
+    # wider a-b gaps than the default grid
+    @pytest.mark.parametrize(
+        "spec",
+        GRID_SPECS
+        + [CaseSpec(3, a=a, b=b) for a, b in ((4, 3), (5, 3), (5, 4), (6, 1), (10, 9))],
+        ids=spec_id,
+    )
     def test_equals_convolution_triangle(self, spec):
         t = composition_triangle(f0_prefix(spec, 14))
         for n in range(1, 15):

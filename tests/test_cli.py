@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import restricted_words
 from restricted_words import cases
 from restricted_words.cases import CaseSpec, fm_sequence
 from restricted_words.cli import main
@@ -339,3 +345,16 @@ def test_no_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_runs():
+    src = str(Path(restricted_words.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-m", "restricted_words.cli", "seq", "--case", "2",
+         "--a", "1", "--m", "1", "--n", "8"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1 1 2 3 5 8 13 21\n"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import GRID_POINTS, point_id
 
-from restricted_words import cases
+from restricted_words import cases, words
 from restricted_words.cases import CaseSpec
 from restricted_words.verification import (
     adjudicate_case1_leading_term,
@@ -44,6 +44,26 @@ def test_level_zero_skips_triangle_comparisons():
     assert "recurrence-vs-triangle-row-sums" not in labels
     assert "marked-exhaustive-vs-triangle" not in labels
     assert report.ok
+
+
+def test_one_enumeration_per_length(monkeypatch):
+    calls = {"marked_histogram": 0, "count_exhaustive": 0}
+
+    def counted(name):
+        real = getattr(words, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(words, name, counted(name))
+    max_len = 5
+    report = cross_check(CaseSpec(2, a=1), 1, max_len=max_len, triangle_n=6)
+    assert calls == {"marked_histogram": max_len + 1, "count_exhaustive": 0}
+    assert report.ok, report.describe()
 
 
 def test_corrupted_formula_is_caught(monkeypatch):

@@ -227,6 +227,26 @@ class TestCountAutomaton:
         with pytest.raises(ValueError):
             count_automaton(CaseSpec(4), 0, 3, 1)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_large_alphabet_histogram_matches(self, data):
+        # alphabets past 128 letters overflow int8 letter columns
+        case_id = data.draw(st.sampled_from((1, 2, 3, 4, 5)))
+        s = data.draw(st.integers(min_value=120, max_value=300))
+        if case_id in (1, 2):
+            spec = CaseSpec(case_id, a=data.draw(st.integers(1, s - 1)))
+        elif case_id == 3:
+            a = data.draw(st.integers(2, s - 1))
+            spec = CaseSpec(3, a=a, b=data.draw(st.integers(1, a - 1)))
+        else:
+            spec = CaseSpec(case_id)
+        m = s - spec.base_alphabet
+        for length in range(3):
+            assert marked_histogram(spec, m, length) == [
+                count_automaton(spec, m, length, marks)
+                for marks in range(length + 1)
+            ], (spec, m, length)
+
 
 class TestMaxEnumerableLength:
     def test_values(self):
