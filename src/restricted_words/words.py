@@ -5,9 +5,14 @@ Three independent routes to the same numbers:
 * ``is_valid``: a pure per-word predicate, the most literal reading of
   each family's constraint (maximal-run semantics spelled out).
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
-  given length as rows of a numpy array and apply the constraint with
-  vectorized column scans.  Refuses to enumerate more than ``budget``
-  words; optional process-level parallelism partitions by first letter.
+  given length in blocks.  A block fixes a leading prefix of letters and
+  runs through every tail of ``t`` letters, where ``s**t`` is the largest
+  power of the alphabet size that fits one block; the tail columns are
+  built once with ``np.repeat``/``np.tile`` and every prefix in
+  lexicographic order reuses them.  The constraint is applied with
+  vectorized scans over contiguous letter columns.  Refuses to enumerate
+  more than ``budget`` words; optional process-level parallelism
+  partitions by first letter.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).
@@ -21,6 +26,7 @@ k-1 marks at length L corresponds to the triangle cell c_m(L+1, k).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence as SequenceABC
@@ -126,14 +132,6 @@ def max_enumerable_length(
     return length
 
 
-def _letter_columns(rows: np.ndarray, s: int, length: int) -> np.ndarray:
-    # row r encodes a word base-s, most significant letter first; letters
-    # take the smallest signed type that holds 0..s-1 and the -1 run
-    # sentinel of _valid_mask, and the other letter arrays copy it
-    divs = s ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return ((rows[:, None] // divs) % s).astype(np.min_scalar_type(-s))
-
-
 def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
     a = spec.base_alphabet
     cid = spec.case_id
@@ -198,17 +196,30 @@ def _histogram_block(
     if length == 0:
         hist[0] = 1
         return hist.tolist()
-    free = length if first is None else length - 1
-    total = s**free
-    for start in range(0, total, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        block = _letter_columns(rows, s, free)
-        if first is not None:
-            lead = np.full((block.shape[0], 1), first, dtype=block.dtype)
-            block = np.concatenate([lead, block], axis=1)
-        mask = _valid_mask(spec, m, block)
-        marks = (block[mask] == marked).sum(axis=1)
-        hist += np.bincount(marks, minlength=length + 1)
+    lead = [] if first is None else [first]
+    free = length - len(lead)
+    tail = 0
+    while tail < free and s ** (tail + 1) <= _CHUNK_ROWS:
+        tail += 1
+    # letters take the smallest signed type that holds 0..s-1 and the -1
+    # run sentinel of _valid_mask; one row per letter position, so each
+    # column of the word block is contiguous
+    letters = np.arange(s, dtype=np.min_scalar_type(-s))
+    cols = np.empty((length, s**tail), dtype=letters.dtype)
+    tail_marks = np.zeros(s**tail, dtype=np.min_scalar_type(length))
+    for i, row in enumerate(cols[length - tail :]):
+        row[:] = np.tile(np.repeat(letters, s ** (tail - 1 - i)), s**i)
+        tail_marks += row == marked
+    for prefix in itertools.product(range(s), repeat=free - tail):
+        fixed = (*lead, *prefix)
+        for row, letter in zip(cols, fixed):
+            row.fill(letter)
+        mask = _valid_mask(spec, m, cols.T)
+        # a word's marks are its fixed prefix's plus its tail's
+        shift = fixed.count(marked)
+        hist[shift : shift + tail + 1] += np.bincount(
+            tail_marks[mask], minlength=tail + 1
+        )
     return hist.tolist()
 
 
@@ -220,7 +231,10 @@ def marked_histogram(
     jobs: int = 1,
 ) -> list[int]:
     """Counts of valid words of the given length, bucketed by how many
-    times the marked letter (the alphabet maximum) occurs."""
+    times the marked letter (the alphabet maximum) occurs.
+
+    With ``jobs > 1`` the words are split by first letter over a pool of
+    at most ``min(jobs, s, os.cpu_count())`` worker processes."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if jobs < 1:
@@ -229,10 +243,11 @@ def marked_histogram(
     required = s**length
     if required > budget:
         raise BudgetExceeded(required, budget)
-    if jobs == 1 or length == 0:
+    workers = min(jobs, s, os.cpu_count() or 1)
+    if workers == 1 or length == 0:
         return _histogram_block(spec, m, length, None)
     hist = [0] * (length + 1)
-    with ProcessPoolExecutor(max_workers=min(jobs, s)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _histogram_block, *zip(*[(spec, m, length, first) for first in range(s)])
         )

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 from conftest import GRID_POINTS, point_id
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restricted_words import words
 from restricted_words.cases import CaseSpec, f0_prefix, fm_sequence
 from restricted_words.sequences import composition_triangle, lift_triangle
 from restricted_words.words import (
@@ -144,6 +146,111 @@ class TestMarkedCounts:
         hist = marked_histogram(spec, m, length)
         for marks in range(length + 1):
             assert hist[marks] == t.at(length + 1, marks + 1), (spec, m, marks)
+
+
+# points for the block tests: every family, one-letter alphabets, and
+# alphabets larger than a four-row block
+BLOCK_POINTS = [
+    (CaseSpec(1, a=1), 0),
+    (CaseSpec(1, a=1), 1),
+    (CaseSpec(1, a=2), 3),
+    (CaseSpec(2, a=1), 0),
+    (CaseSpec(2, a=1), 2),
+    (CaseSpec(2, a=2), 1),
+    (CaseSpec(3, a=3, b=1), 1),
+    (CaseSpec(3, a=4, b=2), 2),
+    (CaseSpec(4), 0),
+    (CaseSpec(4), 1),
+    (CaseSpec(4), 3),
+    (CaseSpec(5), 1),
+    (CaseSpec(5), 2),
+]
+
+
+def _reference_histogram(spec, m, length):
+    s = spec.alphabet_size(m)
+    if m >= 1:
+        return [count_automaton(spec, m, length, k) for k in range(length + 1)]
+    # no marked letter at m = 0: bucket the predicate's words by the top letter
+    hist = [0] * (length + 1)
+    for w in itertools.product(range(s), repeat=length):
+        if is_valid(spec, m, w):
+            hist[w.count(s - 1)] += 1
+    return hist
+
+
+class TestEnumerationBlocks:
+    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
+    def test_many_blocks_match_reference(self, point, monkeypatch):
+        # four-row blocks: most lengths span many fixed-prefix blocks, and
+        # alphabets of five or more letters get one-word blocks
+        monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
+        spec, m = point
+        for length in range(max_enumerable_length(spec, m, budget=1500) + 1):
+            assert marked_histogram(spec, m, length) == _reference_histogram(
+                spec, m, length
+            ), (spec, m, length)
+
+    @pytest.mark.parametrize("chunk_rows", [4, words._CHUNK_ROWS])
+    def test_first_letter_split_sums_to_whole(self, chunk_rows, monkeypatch):
+        monkeypatch.setattr(words, "_CHUNK_ROWS", chunk_rows)
+        for spec, m in BLOCK_POINTS:
+            s = spec.alphabet_size(m)
+            for length in range(1, 5):
+                parts = [
+                    words._histogram_block(spec, m, length, first)
+                    for first in range(s)
+                ]
+                assert [sum(col) for col in zip(*parts)] == words._histogram_block(
+                    spec, m, length, None
+                ), (spec, m, length)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in the calling process, so no worker starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestJobsCap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(words, "ProcessPoolExecutor", _InlinePool)
+        return _InlinePool.sizes
+
+    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec, m = CaseSpec(1, a=1), 300
+        hist = marked_histogram(spec, m, 2, jobs=500)
+        assert pool_sizes == [3]
+        assert hist == marked_histogram(spec, m, 2)
+
+    def test_pool_capped_at_alphabet(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        spec, m = CaseSpec(4), 1
+        hist = marked_histogram(spec, m, 6, jobs=8)
+        assert pool_sizes == [3]
+        assert hist == marked_histogram(spec, m, 6)
+
+    def test_one_worker_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        spec, m = CaseSpec(5), 2
+        assert marked_histogram(spec, m, 5, jobs=4) == marked_histogram(spec, m, 5)
+        assert pool_sizes == []
 
 
 class TestIterWords:
