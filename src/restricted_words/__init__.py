@@ -49,6 +49,8 @@ from .words import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Dfa,
+    automaton_counts,
+    automaton_histograms,
     build_dfa,
     count_automaton,
     count_exhaustive,
@@ -73,6 +75,8 @@ __all__ = [
     "Triangle",
     "adjudicate_case1_leading_term",
     "as_sequence",
+    "automaton_counts",
+    "automaton_histograms",
     "binom",
     "build_dfa",
     "c1_case3_repunit",

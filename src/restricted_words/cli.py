@@ -36,7 +36,7 @@ from .verification import adjudicate_case1_leading_term, cross_check, default_gr
 from .words import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    count_automaton,
+    automaton_counts,
     count_exhaustive,
     count_marked_exhaustive,
     iter_words,
@@ -88,7 +88,7 @@ def sequence_values(spec: CaseSpec, m: int, N: int, source: str) -> list[int]:
             )
         return [cases.fm_explicit(spec, m, n) for n in range(1, N + 1)]
     if source == "automaton":
-        return [count_automaton(spec, m, n - 1) for n in range(1, N + 1)]
+        return automaton_counts(spec, m, N - 1)
     raise ValueError(f"unknown source {source!r}")
 
 

@@ -25,7 +25,7 @@ from .cases import (
 )
 from .classics import fibonacci, jacobsthal, pell, tribonacci
 from .sequences import Sequence, binom, composition_triangle
-from .words import count_automaton
+from .words import automaton_counts
 
 Checkpoint = tuple[dict[str, int], int, int]
 
@@ -125,8 +125,9 @@ def _case3_product(max_n: int) -> Iterator[Checkpoint]:
 
 def _euler_type(max_n: int) -> Iterator[Checkpoint]:
     # binary words of length n-2 vs family-4 ternary words of length n-1
+    counts = automaton_counts(CaseSpec(4), 1, max_n - 1)
     for n in range(3, max_n + 1):
-        yield {"n": n}, 2 ** (n - 2), count_automaton(CaseSpec(4), 1, n - 1)
+        yield {"n": n}, 2 ** (n - 2), counts[n - 1]
 
 
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:

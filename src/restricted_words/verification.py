@@ -119,13 +119,19 @@ def cross_check(
         words.marked_histogram(spec, m, L, budget=budget, jobs=jobs)
         for L in range(enum_len + 1)
     ]
+    # one DP pass each serves all three automaton comparisons; fm reaches
+    # index max_len + 1 because N >= max_len + 2
+    counts = words.automaton_counts(spec, m, max_len)
+    marked_rows = (
+        words.automaton_histograms(spec, m, max_len) if m >= 1 else None
+    )
     comparisons: list[Comparison] = []
 
     comparisons.append(
         _compare_pairs(
             "exhaustive-vs-automaton",
             (
-                ({"len": L}, sum(hist), words.count_automaton(spec, m, L))
+                ({"len": L}, sum(hist), counts[L])
                 for L, hist in enumerate(hists)
             ),
         )
@@ -134,8 +140,8 @@ def cross_check(
         _compare_pairs(
             "automaton-vs-recurrence",
             (
-                ({"len": L}, words.count_automaton(spec, m, L), fm.at(L + 1))
-                for L in range(min(max_len, N - 1) + 1)
+                ({"len": L}, count, fm.at(L + 1))
+                for L, count in enumerate(counts)
             ),
         )
     )
@@ -143,7 +149,8 @@ def cross_check(
         _compare_pairs(
             "recurrence-vs-invert-transform",
             (
-                ({"n": n}, fm.at(n), invert_power(f0, m).at(n))
+                ({"n": n}, fm.at(n), inverted.at(n))
+                for inverted in [invert_power(f0, m)]
                 for n in range(1, N + 1)
             ),
         )
@@ -153,7 +160,8 @@ def cross_check(
             _compare_pairs(
                 "recurrence-vs-triangle-row-sums",
                 (
-                    ({"n": n}, fm.at(n), row_sums(cm).at(n))
+                    ({"n": n}, fm.at(n), sums.at(n))
+                    for sums in [row_sums(cm)]
                     for n in range(1, N + 1)
                 ),
             )
@@ -189,10 +197,10 @@ def cross_check(
                 (
                     (
                         {"len": L, "marks": marks},
-                        words.count_automaton(spec, m, L, marks),
+                        row[marks],
                         cm.at(L + 1, marks + 1),
                     )
-                    for L in range(min(max_len, N - 1) + 1)
+                    for L, row in enumerate(marked_rows)
                     for marks in range(L + 1)
                 ),
             )

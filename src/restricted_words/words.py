@@ -15,7 +15,11 @@ Three independent routes to the same numbers:
   partitions by first letter.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
-  enumeration range (length 500 and up).
+  enumeration range (length 500 and up).  The DP reaches every shorter
+  length on its way, so ``automaton_counts`` (counts at lengths 0..N)
+  and ``automaton_histograms`` (counts by number of marked letters at
+  lengths 0..N) read a whole sequence or triangle off one pass instead
+  of recounting each prefix.
 
 f_m(n) counts valid words of length n-1, so counts at word length L line
 up with sequence index L+1.  The marked letter is always the largest
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence as SequenceABC
@@ -410,41 +415,37 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     return Dfa(0, trans, (True, False, True, False, False, True))
 
 
-def count_automaton(
-    spec: CaseSpec, m: int, length: int, marks: int | None = None
-) -> int:
-    """Number of valid words of the given length by transfer-matrix DP;
-    with ``marks``, only words with that many marked letters count."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    dfa = build_dfa(spec, m)
+def _occupancies(dfa: Dfa, length: int) -> Iterator[list[int]]:
+    # number of words reaching each state after 0, 1, ..., length letters
     s = dfa.alphabet_size
-    if marks is None:
-        occ = [0] * dfa.state_count
-        occ[dfa.start] = 1
-        for _ in range(length):
-            nxt = [0] * dfa.state_count
-            for st, weight in enumerate(occ):
-                if weight == 0:
-                    continue
-                for letter in range(s):
-                    to = dfa.transitions[st][letter]
-                    if to >= 0:
-                        nxt[to] += weight
-            occ = nxt
-        return sum(w for st, w in enumerate(occ) if dfa.accepting[st])
-    if m < 1:
-        raise ValueError("marked counting needs m >= 1 (no marked letter exists)")
-    if marks < 0:
-        raise ValueError("marks must be >= 0")
-    if marks > length:
-        return 0
-    marked = s - 1
-    # layer the occupancy by number of marks seen, capped at marks
-    occ = [[0] * (marks + 1) for _ in range(dfa.state_count)]
-    occ[dfa.start][0] = 1
+    occ = [0] * dfa.state_count
+    occ[dfa.start] = 1
+    yield occ
     for _ in range(length):
-        nxt = [[0] * (marks + 1) for _ in range(dfa.state_count)]
+        nxt = [0] * dfa.state_count
+        for st, weight in enumerate(occ):
+            if weight == 0:
+                continue
+            for letter in range(s):
+                to = dfa.transitions[st][letter]
+                if to >= 0:
+                    nxt[to] += weight
+        occ = nxt
+        yield occ
+
+
+def _marked_occupancies(
+    dfa: Dfa, length: int, cap: int
+) -> Iterator[list[list[int]]]:
+    # occupancy layered by number of marked letters seen, after 0, 1, ...,
+    # length letters; words with more than cap marks are dropped
+    s = dfa.alphabet_size
+    marked = s - 1
+    occ = [[0] * (cap + 1) for _ in range(dfa.state_count)]
+    occ[dfa.start][0] = 1
+    yield occ
+    for _ in range(length):
+        nxt = [[0] * (cap + 1) for _ in range(dfa.state_count)]
         for st, layers in enumerate(occ):
             for j, weight in enumerate(layers):
                 if weight == 0:
@@ -454,11 +455,62 @@ def count_automaton(
                     if to < 0:
                         continue
                     nj = j + 1 if letter == marked else j
-                    if nj <= marks:
+                    if nj <= cap:
                         nxt[to][nj] += weight
         occ = nxt
-    return sum(
-        layers[marks]
-        for st, layers in enumerate(occ)
-        if dfa.accepting[st]
-    )
+        yield occ
+
+
+def _last(steps: Iterator):
+    # the final step, holding no earlier one
+    return deque(steps, maxlen=1)[0]
+
+
+def _accepted(dfa: Dfa, occ: list) -> list:
+    return [w for st, w in enumerate(occ) if dfa.accepting[st]]
+
+
+def _check_marked(m: int) -> None:
+    if m < 1:
+        raise ValueError("marked counting needs m >= 1 (no marked letter exists)")
+
+
+def count_automaton(
+    spec: CaseSpec, m: int, length: int, marks: int | None = None
+) -> int:
+    """Number of valid words of the given length by transfer-matrix DP;
+    with ``marks``, only words with that many marked letters count."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    dfa = build_dfa(spec, m)
+    if marks is None:
+        return sum(_accepted(dfa, _last(_occupancies(dfa, length))))
+    _check_marked(m)
+    if marks < 0:
+        raise ValueError("marks must be >= 0")
+    if marks > length:
+        return 0
+    occ = _last(_marked_occupancies(dfa, length, marks))
+    return sum(layers[marks] for layers in _accepted(dfa, occ))
+
+
+def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
+    """Numbers of valid words at every length 0..``length``, from one
+    transfer-matrix DP pass."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    dfa = build_dfa(spec, m)
+    return [sum(_accepted(dfa, occ)) for occ in _occupancies(dfa, length)]
+
+
+def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]:
+    """For every length L in 0..``length``, the L+1 numbers of valid words
+    with 0..L marked letters, from one marked DP pass."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    _check_marked(m)
+    dfa = build_dfa(spec, m)
+    return [
+        [sum(col) for col in zip(*_accepted(dfa, occ))][: L + 1]
+        for L, occ in enumerate(_marked_occupancies(dfa, length, length))
+    ]

@@ -16,7 +16,7 @@ from restricted_words.cli import main
 from restricted_words.formats import parse_bfile, parse_json, parse_triangle_csv
 from restricted_words.sequences import composition_triangle, invert_power
 
-from conftest import GRID_SPECS, levels_for, spec_id
+from conftest import GRID_SPECS, levels_for, point_id, spec_id
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,31 @@ def test_seq_sources_byte_identical(capsys, spec):
             assert code == 0
             outputs[source] = out
         assert len(set(outputs.values())) == 1
+
+
+# one point per family, the long sequences of the benchmark's cli-mix
+@pytest.mark.parametrize(
+    "point",
+    [
+        (CaseSpec(1, a=2), 1),
+        (CaseSpec(2, a=2), 1),
+        (CaseSpec(3, a=3, b=1), 1),
+        (CaseSpec(4), 2),
+        (CaseSpec(5), 2),
+    ],
+    ids=point_id,
+)
+def test_long_seq_automaton_matches_recurrence(capsys, point):
+    spec, m = point
+    outputs = [
+        run_cli(
+            capsys, "seq", *spec_flags(spec), "--m", str(m), "--n", "400",
+            "--source", source,
+        )
+        for source in ("automaton", "recurrence")
+    ]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
 
 
 def test_seq_short_prefix_still_works(capsys):

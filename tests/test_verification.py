@@ -46,8 +46,9 @@ def test_level_zero_skips_triangle_comparisons():
     assert report.ok
 
 
-def test_one_enumeration_per_length(monkeypatch):
-    calls = {"marked_histogram": 0, "count_exhaustive": 0}
+def _count_calls(monkeypatch, *names):
+    """Wrap the named ``words`` functions; the returned dict counts calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(words, name)
@@ -58,12 +59,53 @@ def test_one_enumeration_per_length(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(words, name, counted(name))
+    return calls
+
+
+def test_one_enumeration_per_length(monkeypatch):
+    calls = _count_calls(monkeypatch, "marked_histogram", "count_exhaustive")
     max_len = 5
     report = cross_check(CaseSpec(2, a=1), 1, max_len=max_len, triangle_n=6)
     assert calls == {"marked_histogram": max_len + 1, "count_exhaustive": 0}
     assert report.ok, report.describe()
+
+
+def test_one_automaton_pass_per_sequence(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, "count_automaton", "automaton_counts", "automaton_histograms"
+    )
+    report = cross_check(CaseSpec(2, a=1), 1, max_len=5, triangle_n=6)
+    assert calls == {
+        "count_automaton": 0,
+        "automaton_counts": 1,
+        "automaton_histograms": 1,
+    }
+    assert report.ok, report.describe()
+    calls.update(dict.fromkeys(calls, 0))
+    cross_check(CaseSpec(2, a=1), 0, max_len=5, triangle_n=6)
+    assert calls == {
+        "count_automaton": 0,
+        "automaton_counts": 1,
+        "automaton_histograms": 0,
+    }
+
+
+def test_broken_automaton_is_caught(monkeypatch):
+    real = words.automaton_counts
+
+    def off_by_one(spec, m, length):
+        values = real(spec, m, length)
+        values[3] += 1
+        return values
+
+    monkeypatch.setattr(words, "automaton_counts", off_by_one)
+    report = cross_check(CaseSpec(4), 1, max_len=5, triangle_n=6)
+    assert not report.ok
+    bad = {c.label: c for c in report.comparisons if not c.ok}
+    assert bad["exhaustive-vs-automaton"].witness["len"] == 3
+    assert "exhaustive-vs-automaton: MISMATCH at len=3" in report.describe()
 
 
 def test_corrupted_formula_is_caught(monkeypatch):

@@ -15,6 +15,8 @@ from restricted_words.cases import CaseSpec, f0_prefix, fm_sequence
 from restricted_words.sequences import composition_triangle, lift_triangle
 from restricted_words.words import (
     BudgetExceeded,
+    automaton_counts,
+    automaton_histograms,
     build_dfa,
     count_automaton,
     count_exhaustive,
@@ -353,6 +355,38 @@ class TestCountAutomaton:
                 count_automaton(spec, m, length, marks)
                 for marks in range(length + 1)
             ], (spec, m, length)
+
+
+class TestAutomatonOnePass:
+    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
+    def test_counts_match_per_length(self, point):
+        spec, m = point
+        assert automaton_counts(spec, m, 60) == [
+            count_automaton(spec, m, length) for length in range(61)
+        ]
+
+    @pytest.mark.parametrize(
+        "point", [p for p in BLOCK_POINTS if p[1] >= 1], ids=point_id
+    )
+    def test_histograms_match_per_cell(self, point):
+        spec, m = point
+        rows = automaton_histograms(spec, m, 9)
+        assert rows == [
+            [count_automaton(spec, m, length, k) for k in range(length + 1)]
+            for length in range(10)
+        ]
+        assert [sum(row) for row in rows] == automaton_counts(spec, m, 9)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            automaton_counts(CaseSpec(4), 1, -1)
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            automaton_histograms(CaseSpec(4), 1, -1)
+        with pytest.raises(ValueError) as one_pass:
+            automaton_histograms(CaseSpec(4), 0, 3)
+        with pytest.raises(ValueError) as per_cell:
+            count_automaton(CaseSpec(4), 0, 3, 1)
+        assert str(one_pass.value) == str(per_cell.value)
 
 
 class TestMaxEnumerableLength:
