@@ -199,15 +199,16 @@ def lift_triangle(c1: Triangle, m: int) -> Triangle:
     if m < 1:
         raise ValueError("the lift is defined for m >= 1")
     size = c1.size
-    rows = []
-    for n in range(1, size + 1):
-        rows.append(
-            [
-                sum(
-                    (m - 1) ** (i - k) * binom(i - 1, k - 1) * c1.at(n, i)
-                    for i in range(k, n + 1)
-                )
-                for k in range(1, n + 1)
-            ]
-        )
-    return Triangle(rows)
+    powers = [(m - 1) ** d for d in range(size)]
+    # weights[k-1][i-k] = (m-1)^(i-k) * C(i-1, k-1) for k <= i <= size
+    weights = [
+        [p * binom(k - 1 + d, k - 1) for d, p in enumerate(powers[: size - k + 1])]
+        for k in range(1, size + 1)
+    ]
+    return Triangle(
+        [
+            sum(w * c for w, c in zip(weights[k - 1], row[k - 1 :]))
+            for k in range(1, n + 1)
+        ]
+        for n, row in enumerate(c1.rows, start=1)
+    )

@@ -10,7 +10,9 @@ Three independent routes to the same numbers:
   power of the alphabet size that fits one block; the tail columns are
   built once with ``np.repeat``/``np.tile`` and every prefix in
   lexicographic order reuses them.  The constraint is applied with
-  vectorized scans over contiguous letter columns.  Refuses to enumerate
+  vectorized scans over contiguous letter columns; for the run-length
+  families 2 and 5 the scan keeps each word's current run length in a
+  counter and checks every run as it closes.  Refuses to enumerate
   more than ``budget`` words; optional process-level parallelism
   partitions by first letter.
 * ``count_automaton``: a hand-built DFA per family driven by a
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence as SequenceABC
@@ -166,28 +168,38 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
             ok &= ~((cur == 1) & (nxt != 0))
             ok &= ~((cur > 1) & (nxt == 0))
         return ok
-    # families 2 and 5: scan maximal runs, tracking length modulus
+    # families 2 and 5: count the length of the current maximal run; where
+    # the letter changes, the run that just closed must be allowed
     ok = np.ones(n_rows, dtype=bool)
     if length == 0:
         return ok
-    run_letter = np.full(n_rows, -1, dtype=block.dtype)
-    run_mod = np.zeros(n_rows, dtype=np.int8)
 
-    def run_bad(letters: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    def run_ok(letters: np.ndarray, runs: np.ndarray) -> np.ndarray:
         if cid == 2:
-            return (letters >= 0) & (letters < a) & (mods % 2 != 0)
-        bad0 = (letters == 0) & (mods % 2 != 0)
-        bad1 = (letters == 1) & (mods % 3 != 0)
-        return bad0 | bad1
+            return (letters >= a) | _divisible(runs, 2)
+        return ((letters != 0) | _divisible(runs, 2)) & (
+            (letters != 1) | _divisible(runs, 3)
+        )
 
-    for i in range(length):
+    # a run is at most `length` letters long, so the counter never wraps
+    run = np.ones(n_rows, dtype=np.min_scalar_type(length))
+    same = np.empty(n_rows, dtype=bool)
+    prev = block[:, 0]
+    for i in range(1, length):
         col = block[:, i]
-        same = col == run_letter
-        ok &= ~(run_bad(run_letter, run_mod) & ~same)
-        run_mod = np.where(same, (run_mod + 1) % 6, 1).astype(np.int8)
-        run_letter = col
-    ok &= ~run_bad(run_letter, run_mod)
+        np.equal(col, prev, out=same)
+        ok &= same | run_ok(prev, run)
+        run *= same
+        run += 1
+        prev = col
+    ok &= run_ok(prev, run)
     return ok
+
+
+def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
+    # numpy's integer remainder is several times slower than its floor
+    # division by a scalar, so test divisibility without `%`
+    return runs // d * d == runs
 
 
 def _histogram_block(
@@ -206,9 +218,8 @@ def _histogram_block(
     tail = 0
     while tail < free and s ** (tail + 1) <= _CHUNK_ROWS:
         tail += 1
-    # letters take the smallest signed type that holds 0..s-1 and the -1
-    # run sentinel of _valid_mask; one row per letter position, so each
-    # column of the word block is contiguous
+    # letters take the smallest signed type that holds 0..s-1; one row per
+    # letter position, so each column of the word block is contiguous
     letters = np.arange(s, dtype=np.min_scalar_type(-s))
     cols = np.empty((length, s**tail), dtype=letters.dtype)
     tail_marks = np.zeros(s**tail, dtype=np.min_scalar_type(length))
@@ -415,9 +426,18 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     return Dfa(0, trans, (True, False, True, False, False, True))
 
 
+def _live_moves(dfa: Dfa, letters: range) -> list[list[tuple[int, int]]]:
+    # per state, each target the given letters reach, with how many of them
+    # lead there; moves into the reject sink are dropped
+    return [
+        list(Counter(row[x] for x in letters if row[x] >= 0).items())
+        for row in dfa.transitions
+    ]
+
+
 def _occupancies(dfa: Dfa, length: int) -> Iterator[list[int]]:
     # number of words reaching each state after 0, 1, ..., length letters
-    s = dfa.alphabet_size
+    moves = _live_moves(dfa, range(dfa.alphabet_size))
     occ = [0] * dfa.state_count
     occ[dfa.start] = 1
     yield occ
@@ -426,10 +446,8 @@ def _occupancies(dfa: Dfa, length: int) -> Iterator[list[int]]:
         for st, weight in enumerate(occ):
             if weight == 0:
                 continue
-            for letter in range(s):
-                to = dfa.transitions[st][letter]
-                if to >= 0:
-                    nxt[to] += weight
+            for to, k in moves[st]:
+                nxt[to] += k * weight
         occ = nxt
         yield occ
 
@@ -439,24 +457,22 @@ def _marked_occupancies(
 ) -> Iterator[list[list[int]]]:
     # occupancy layered by number of marked letters seen, after 0, 1, ...,
     # length letters; words with more than cap marks are dropped
-    s = dfa.alphabet_size
-    marked = s - 1
+    marked = dfa.alphabet_size - 1
+    moves = _live_moves(dfa, range(marked))
     occ = [[0] * (cap + 1) for _ in range(dfa.state_count)]
     occ[dfa.start][0] = 1
     yield occ
     for _ in range(length):
         nxt = [[0] * (cap + 1) for _ in range(dfa.state_count)]
         for st, layers in enumerate(occ):
+            to_marked = dfa.transitions[st][marked]
             for j, weight in enumerate(layers):
                 if weight == 0:
                     continue
-                for letter in range(s):
-                    to = dfa.transitions[st][letter]
-                    if to < 0:
-                        continue
-                    nj = j + 1 if letter == marked else j
-                    if nj <= cap:
-                        nxt[to][nj] += weight
+                for to, k in moves[st]:
+                    nxt[to][j] += k * weight
+                if to_marked >= 0 and j < cap:
+                    nxt[to_marked][j + 1] += weight
         occ = nxt
         yield occ
 

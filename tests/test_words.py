@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 
+import numpy as np
 import pytest
 from conftest import GRID_POINTS, point_id
 from hypothesis import given, settings
@@ -179,6 +180,54 @@ def _reference_histogram(spec, m, length):
         if is_valid(spec, m, w):
             hist[w.count(s - 1)] += 1
     return hist
+
+
+RUN_POINTS = [
+    (spec, m)
+    for spec in (CaseSpec(2, a=1), CaseSpec(2, a=2), CaseSpec(2, a=3), CaseSpec(5))
+    for m in range(4)
+]
+
+
+def _mask_of(spec, m, rows):
+    # the dtype and column layout _histogram_block hands to _valid_mask
+    block = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
+    return words._valid_mask(spec, m, np.ascontiguousarray(block.T).T).tolist()
+
+
+class TestRunLengthMask:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_predicate(self, data):
+        spec, m = data.draw(st.sampled_from(RUN_POINTS))
+        s = spec.alphabet_size(m)
+        length = data.draw(st.integers(min_value=0, max_value=40))
+        word = st.lists(
+            st.integers(min_value=0, max_value=s - 1),
+            min_size=length,
+            max_size=length,
+        )
+        rows = data.draw(st.lists(word, min_size=1, max_size=20))
+        assert _mask_of(spec, m, rows) == [is_valid(spec, m, w) for w in rows]
+
+    @pytest.mark.parametrize(
+        "spec, letter, run",
+        [
+            (CaseSpec(5), 1, 255),
+            (CaseSpec(5), 1, 256),
+            (CaseSpec(5), 1, 257),
+            (CaseSpec(5), 1, 258),
+            (CaseSpec(2, a=1), 0, 256),
+            (CaseSpec(2, a=1), 0, 257),
+        ],
+    )
+    def test_long_runs(self, spec, letter, run):
+        # runs about 256 letters long, where an 8-bit counter would wrap
+        period = 3 if letter == 1 else 2
+        unrestricted = spec.alphabet_size(1) - 1
+        for word in ([letter] * run, [letter] * run + [unrestricted]):
+            assert _mask_of(spec, 1, [word]) == [run % period == 0]
+            assert is_valid(spec, 1, word) == (run % period == 0)
 
 
 class TestEnumerationBlocks:
