@@ -18,6 +18,12 @@ and for f_m(n) itself, each of which must agree with the convolution
 triangle built from f_0 (the test suite and the verification harness
 enforce this cell by cell).
 
+Each family's recurrence is written once, as a table row of coefficients
+and seeds (``_recurrence``); ``fm_sequence`` iterates it at any m, and
+``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 keep their
+closed-form f_0).  The closed forms for c_m(n,k) and f_m(n) lift one
+closed-form c_1 row through the single ``_lift`` sum.
+
 Family 3's closed form sums powers of the reciprocal roots u, v of
 b*x^2 - a*x + 1.  Since u + v = a and u*v = b, the sum is an integer
 combination of the Lucas sequence V(t) = u^t + v^t, so it is evaluated
@@ -77,7 +83,36 @@ class CaseSpec:
 
     @property
     def seed_count(self) -> int:
-        return 3 if self.case_id == 5 else 2
+        return len(_recurrence(self, 0)[1])
+
+
+def _recurrence(spec: CaseSpec, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(coefficients, seeds) of f_m's recurrence: coefficients (r_1, r_2[, r_3])
+    of f(n) = r_1 f(n-1) + r_2 f(n-2) [+ r_3 f(n-3)], seeds f(1), f(2)[, f(3)]."""
+    a = spec.a
+    if spec.case_id == 1:
+        return (m + a - 1, m), (1, m + a)
+    if spec.case_id == 2:
+        return (m, a), (1, m)
+    if spec.case_id == 3:
+        return (a + m, -spec.b), (1, m + a)
+    if spec.case_id == 4:
+        return (m + 1, 1 - m), (1, m)
+    return (m, 1, 1), (1, m, m * m + 1)
+
+
+def _iterate(coefficients: tuple[int, ...], seeds: tuple[int, ...], N: int) -> list[int]:
+    """The first N terms of the recurrence, truncating the seeds if N is
+    below their count."""
+    # every order is 2 or 3: pad to 3 with a zero coefficient and keep
+    # f(n-3), f(n-2), f(n-1) in locals
+    r1, r2, r3 = (*coefficients, 0)[:3]
+    z, y, x = (0, 0, *seeds)[-3:]
+    vals = list(seeds[:N])
+    while len(vals) < N:
+        z, y, x = y, x, r1 * x + r2 * y + r3 * z
+        vals.append(x)
+    return vals
 
 
 def f0_value(spec: CaseSpec, n: int) -> int:
@@ -98,54 +133,18 @@ def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
         raise ValueError("N must be >= 1")
     if spec.case_id in (1, 2):
         return Sequence(f0_value(spec, n) for n in range(1, N + 1))
-    if spec.case_id == 3:
-        a, b = spec.a, spec.b
-        vals = [1, a]
-        while len(vals) < N:
-            vals.append(a * vals[-1] - b * vals[-2])
-    elif spec.case_id == 4:
-        vals = [1, 0]
-        while len(vals) < N:
-            vals.append(vals[-1] + vals[-2])
-    else:
-        vals = [1, 0, 1]
-        while len(vals) < N:
-            vals.append(vals[-2] + vals[-3])
-    return Sequence(vals[:N])
+    return Sequence(_iterate(*_recurrence(spec, 0), N))
 
 
 def fm_sequence(spec: CaseSpec, m: int, N: int) -> Sequence:
-    """f_m(1..N) from the family's linear recurrence.
-
-    Seeds: (1, m+a) for families 1 and 3, (1, m) for 2 and 4,
-    (1, m, m*m+1) for 5.  N must be large enough to hold the seeds.
-    """
+    """f_m(1..N) from the family's linear recurrence (``_recurrence``);
+    N must be large enough to hold the seeds."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if N < spec.seed_count:
-        raise ValueError(f"N must be >= {spec.seed_count} for case {spec.case_id}")
-    a = spec.a
-    if spec.case_id == 1:
-        vals = [1, m + a]
-        while len(vals) < N:
-            vals.append((m + a - 1) * vals[-1] + m * vals[-2])
-    elif spec.case_id == 2:
-        vals = [1, m]
-        while len(vals) < N:
-            vals.append(m * vals[-1] + a * vals[-2])
-    elif spec.case_id == 3:
-        vals = [1, m + a]
-        while len(vals) < N:
-            vals.append((a + m) * vals[-1] - spec.b * vals[-2])
-    elif spec.case_id == 4:
-        vals = [1, m]
-        while len(vals) < N:
-            vals.append((m + 1) * vals[-1] - (m - 1) * vals[-2])
-    else:
-        vals = [1, m, m * m + 1]
-        while len(vals) < N:
-            vals.append(m * vals[-1] + vals[-2] + vals[-3])
-    return Sequence(vals[:N])
+    coefficients, seeds = _recurrence(spec, m)
+    if N < len(seeds):
+        raise ValueError(f"N must be >= {len(seeds)} for case {spec.case_id}")
+    return Sequence(_iterate(coefficients, seeds, N))
 
 
 def _check_cell(n: int, k: int) -> None:
@@ -154,15 +153,17 @@ def _check_cell(n: int, k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _case1_inner(a: int, n: int, i: int) -> int:
-    # sum_{j=0}^{i-1} C(i,j) C(n-i-1,i-j-1) a^(i-j) (a-1)^(n-2i+j);
-    # when both binomials are nonzero the (a-1)-exponent is >= 0
+def _c1_case1(a: int, n: int, k: int) -> int:
+    # sum_{i=0}^{k-1} C(k,i) C(n-k-1,k-i-1) a^(k-i) (a-1)^(n-2k+i) off the
+    # diagonal; when both binomials are nonzero the (a-1)-exponent is >= 0
+    if n == k:
+        return 1
     total = 0
-    for j in range(i):
-        w = binom(i, j) * binom(n - i - 1, i - j - 1)
+    for i in range(k):
+        w = binom(k, i) * binom(n - k - 1, k - i - 1)
         if w == 0:
             continue
-        total += w * a ** (i - j) * (a - 1) ** (n - 2 * i + j)
+        total += w * a ** (k - i) * (a - 1) ** (n - 2 * k + i)
     return total
 
 
@@ -188,15 +189,7 @@ def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
     _check_cell(n, k)
     a = spec.a
     if spec.case_id == 1:
-        if n == k:
-            return 1
-        total = 0
-        for i in range(k):
-            w = binom(k, i) * binom(n - k - 1, k - i - 1)
-            if w == 0:
-                continue
-            total += w * a ** (k - i) * (a - 1) ** (n - 2 * k + i)
-        return total
+        return _c1_case1(a, n, k)
     if spec.case_id == 2:
         if (n - k) % 2 == 1:
             return 0
@@ -229,13 +222,10 @@ def c1_case3_repunit(b: int, n: int, k: int) -> int:
     if b < 1:
         raise ValueError("b must be >= 1")
     _check_cell(n, k)
-    total = 0
-    for i in range(n - k + 1):
-        w = binom(n - i - 1, k - 1) * binom(k + i - 1, k - 1)
-        if w == 0:
-            continue
-        total += b ** (n - k - i) * w
-    return total
+    return sum(
+        b ** (n - k - i) * binom(n - i - 1, k - 1) * binom(k + i - 1, k - 1)
+        for i in range(n - k + 1)
+    )
 
 
 def c2_explicit_case2(a: int, n: int, k: int) -> int:
@@ -244,42 +234,37 @@ def c2_explicit_case2(a: int, n: int, k: int) -> int:
     if a < 1:
         raise ValueError("a must be >= 1")
     _check_cell(n, k)
+    # n = 2*half - p; odd rows (p = 1) shift both binomials down by one
+    p = n % 2
+    half = (n + p) // 2
+    return sum(
+        a ** (half - j) * binom(2 * j - 1 - p, k - 1) * binom(half + j - 1 - p, half - j)
+        for j in range(-(-(k + p) // 2), half + 1)
+    )
+
+
+def _lift(cells: list[int], m: int, k: int) -> int:
+    # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i), with
+    # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n)
     total = 0
-    if n % 2 == 0:
-        half = n // 2
-        for j in range(-(-k // 2), half + 1):
-            w = binom(2 * j - 1, k - 1) * binom(half + j - 1, half - j)
-            if w == 0:
-                continue
-            total += a ** (half - j) * w
-    else:
-        half = (n + 1) // 2
-        for j in range(-(-(k + 1) // 2), half + 1):
-            w = binom(2 * j - 2, k - 1) * binom(half + j - 2, half - j)
-            if w == 0:
-                continue
-            total += a ** (half - j) * w
+    for d, cell in enumerate(cells):
+        total += (m - 1) ** d * binom(k - 1 + d, k - 1) * cell
     return total
 
 
 def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
-    """Expanded closed form for the family-1 triangle c_m(n,k), m >= 1.
+    """Expanded closed form for the family-1 triangle c_m(n,k), m >= 1:
+    the closed-form c_1 row lifted to level m.
 
-    The leading term is (m-1)^(n-k) * C(n-1,k-1); summed over k it gives
-    m^(n-1) by the binomial theorem, matching fm_explicit's leading term.
+    The leading (i = n) term is (m-1)^(n-k) * C(n-1,k-1); summed over k
+    it gives m^(n-1) by the binomial theorem.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if a < 1:
         raise ValueError("a must be >= 1")
     _check_cell(n, k)
-    total = (m - 1) ** (n - k) * binom(n - 1, k - 1)
-    for i in range(k, n):
-        w = binom(i - 1, k - 1)
-        if w == 0:
-            continue
-        total += (m - 1) ** (i - k) * w * _case1_inner(a, n, i)
-    return total
+    return _lift([_c1_case1(a, n, i) for i in range(k, n + 1)], m, k)
 
 
 def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
@@ -290,63 +275,34 @@ def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    _check_cell(n, k)
-    total = m ** (n - k) * binom(n - 1, k - 1)
-    for i in range(k, n):
-        w = binom(i - 1, k - 1)
-        if w == 0:
-            continue
-        total += (m - 1) ** (i - k) * w * _case1_inner(a, n, i)
-    return total
+    corrected = cm_explicit_case1(a, m, n, k)
+    return corrected + (m ** (n - k) - (m - 1) ** (n - k)) * binom(n - 1, k - 1)
 
 
 def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
     """Closed form for f_m(n).
 
-    Family 1 (m >= 1): m^(n-1) plus the triple sum over (k, i, j).
     Family 2 (m >= 0): sum over j of m^(n-2j-1) a^j C(n-1-j, j).
-    Families 3-5: closed-form c_1 row lifted to level m and summed
-    (m = 0 reduces to the single cell c_1(n,1) = f_0(n)).
+    Families 1 (m >= 1) and 3-5 (m >= 0): the closed-form c_1 row
+    c_1(n, 1..n), lifted to level m and summed over k.  For family 1 the
+    lifted i = n terms sum to the leading m^(n-1); at m = 0 the lifted
+    sum collapses to the single cell c_1(n,1) = f_0(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    a = spec.a
-    if spec.case_id == 1:
-        if m < 1:
-            raise ValueError("family 1 closed form needs m >= 1")
-        total = m ** (n - 1)
-        for k in range(1, n):
-            for i in range(k, n):
-                w = binom(i - 1, k - 1)
-                if w == 0:
-                    continue
-                total += (m - 1) ** (i - k) * w * _case1_inner(a, n, i)
-        return total
+    if spec.case_id == 1 and m < 1:
+        raise ValueError("family 1 closed form needs m >= 1")
     if spec.case_id == 2:
-        total = 0
-        for j in range((n - 1) // 2 + 1):
-            w = binom(n - 1 - j, j)
-            if w == 0:
-                continue
-            total += m ** (n - 2 * j - 1) * a**j * w
-        return total
+        return sum(
+            m ** (n - 2 * j - 1) * spec.a**j * binom(n - 1 - j, j)
+            for j in range((n - 1) // 2 + 1)
+        )
     if m == 0:
         return c1_explicit(spec, n, 1)
     row = [c1_explicit(spec, n, i) for i in range(1, n + 1)]
-    total = 0
-    for k in range(1, n + 1):
-        for i in range(k, n + 1):
-            w = binom(i - 1, k - 1)
-            if w == 0:
-                continue
-            total += (m - 1) ** (i - k) * w * row[i - 1]
-    return total
+    return sum(_lift(row[k - 1 :], m, k) for k in range(1, n + 1))
 
 
 def triangle_formula_available(spec: CaseSpec, m: int) -> bool:

@@ -3,14 +3,17 @@
 Conventions worth flagging: fibonacci, pell, jacobsthal, mersenne, and
 tribonacci are all indexed from 1 (F1 = F2 = 1, P1 = 1, P2 = 2,
 J1 = J2 = 1, T1 = T2 = 1, T3 = 2, mersenne(n) = 2^n - 1).  padovan is
-defined for n >= 3 as the family-5 base count shifted by two
-(padovan(n) = f0(n-2)), giving 1, 0, 1, 1, 1, 2, 2, 3, ... from n = 3;
-other sources index the Padovan numbers differently.
+defined for n >= 3 by P(n) = P(n-2) + P(n-3) from P(3), P(4), P(5) =
+1, 0, 1, giving 1, 0, 1, 1, 1, 2, 2, 3, ... from n = 3: the family-5 base
+count shifted by two (padovan(n) = f0(n-2)); other sources index the
+Padovan numbers differently.
+
+Each sequence is computed here from its own recurrence (or 2^n - 1) and
+nothing is imported from ``cases``, so comparisons against the family
+counts stay independent.
 """
 
 from __future__ import annotations
-
-from .cases import CaseSpec, f0_value
 
 CLASSIC_NAMES = (
     "fibonacci",
@@ -77,7 +80,10 @@ def tribonacci(n: int) -> int:
 def padovan(n: int) -> int:
     if n < 3:
         raise ValueError("padovan is defined for n >= 3 here")
-    return f0_value(CaseSpec(5), n - 2)
+    a, b, c = 1, 0, 1
+    for _ in range(n - 3):
+        a, b, c = b, c, a + b
+    return a
 
 
 _DISPATCH = {

@@ -183,6 +183,8 @@ def cmd_words(args: argparse.Namespace) -> int:
         if args.marks is not None:
             if args.m < 1:
                 raise ValueError("--marks needs --m >= 1")
+            if args.marks < 0:
+                raise ValueError("marks must be >= 0")
             words = (w for w in words if w.count(s - 1) == args.marks)
         for word in words:
             if s <= 10:

@@ -6,9 +6,9 @@ index-split sums, the composition product, the counting identities).
 ``check_identity`` evaluates both sides exactly over a range of n and
 reports either verified or the lowest counterexample with both values.
 
-The quadruple-sum identity for F_{2n-1} is capped at n = 20 internally:
-its cost grows like n^4 and the identity is index-wise identical beyond
-the cap.
+Where a right-hand side is one of the paper's closed forms, it calls that
+closed form in ``cases``; the classic sequences it is compared with come
+from ``classics``, which computes them independently.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 from .cases import (
     CaseSpec,
+    c1_case3_repunit,
     c1_explicit,
     c2_explicit_case2,
     f0_value,
@@ -68,58 +69,39 @@ def _explicit_transform(a: int, m: int, classic_fn) -> Callable[[int], Iterator[
     return run
 
 
-def _fib_even(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(binom(n + k - 1, n - k) for k in range(1, n + 1))
-        yield {"n": n}, fibonacci(2 * n), rhs
+def _index_split(a: int, parity: int, classic_fn) -> Callable[[int], Iterator[Checkpoint]]:
+    # F(2n-p) (a = 1) or J(2n-p) (a = 2) as sum_k a^(n-k) C(n+k-1-p, n-k),
+    # p = 0 for the even and 1 for the odd index
+    def run(max_n: int) -> Iterator[Checkpoint]:
+        for n in range(1, max_n + 1):
+            rhs = sum(
+                a ** (n - k) * binom(n + k - 1 - parity, n - k) for k in range(1, n + 1)
+            )
+            yield {"n": n}, classic_fn(2 * n - parity), rhs
+
+    return run
 
 
-def _fib_odd(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(binom(n + k - 2, n - k) for k in range(1, n + 1))
-        yield {"n": n}, fibonacci(2 * n - 1), rhs
+def _pell_split(parity: int) -> Callable[[int], Iterator[Checkpoint]]:
+    # P(N) as the row sum of the family-2 (a = 1) level-2 triangle, N = 2n-p
+    def run(max_n: int) -> Iterator[Checkpoint]:
+        for n in range(1, max_n + 1):
+            N = 2 * n - parity
+            rhs = sum(c2_explicit_case2(1, N, k) for k in range(1, N + 1))
+            yield {"n": n}, pell(N), rhs
 
-
-def _jac_even(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(2 ** (n - k) * binom(n + k - 1, n - k) for k in range(1, n + 1))
-        yield {"n": n}, jacobsthal(2 * n), rhs
-
-
-def _jac_odd(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(2 ** (n - k) * binom(n + k - 2, n - k) for k in range(1, n + 1))
-        yield {"n": n}, jacobsthal(2 * n - 1), rhs
-
-
-def _pell_even(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(c2_explicit_case2(1, 2 * n, k) for k in range(1, 2 * n + 1))
-        yield {"n": n}, pell(2 * n), rhs
-
-
-def _pell_odd(max_n: int) -> Iterator[Checkpoint]:
-    for n in range(1, max_n + 1):
-        rhs = sum(c2_explicit_case2(1, 2 * n - 1, k) for k in range(1, 2 * n))
-        yield {"n": n}, pell(2 * n - 1), rhs
+    return run
 
 
 def _case3_product(max_n: int) -> Iterator[Checkpoint]:
     # sum over compositions of n into k parts of prod (b^i - 1), against
-    # the closed form (b-1)^k * sum_i b^(n-k-i) C(n-i-1,k-1) C(k+i-1,k-1)
+    # (b-1)^k times the family-3 closed form at a = b+1
     for n in range(1, max_n + 1):
         for b in (2, 3):
             weights = Sequence(b**i - 1 for i in range(1, n + 1))
             triangle = composition_triangle(weights)
             for k in range(1, n + 1):
-                rhs = sum(
-                    b ** (n - k - i)
-                    * (b - 1) ** k
-                    * binom(n - i - 1, k - 1)
-                    * binom(k + i - 1, k - 1)
-                    for i in range(n - k + 1)
-                    if binom(n - i - 1, k - 1) * binom(k + i - 1, k - 1) != 0
-                )
+                rhs = (b - 1) ** k * c1_case3_repunit(b, n, k)
                 yield {"n": n, "b": b, "k": k}, triangle.at(n, k), rhs
 
 
@@ -131,38 +113,18 @@ def _euler_type(max_n: int) -> Iterator[Checkpoint]:
 
 
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
+    # the family-4 row sum f_1(n) = 2^(n-2), less its diagonal c_1(n,n) = 1
+    spec = CaseSpec(4)
     for n in range(3, max_n + 1):
-        rhs = 0
-        for k in range(1, n + 1):
-            for i in range(1, k + 1):
-                ci = binom(k, i)
-                for j in range(i, (n - k) // 2 + 1):
-                    rhs += ci * binom(j - 1, i - 1) * binom(n - k - j - 1, j - 1)
+        rhs = sum(c1_explicit(spec, n, k) for k in range(1, n))
         yield {"n": n}, 2 ** (n - 2) - 1, rhs
 
 
-_QUAD_CAP = 20
-
-
 def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
-    # the t = 0 layer of the inner double sum is the indicator [i == n],
-    # the same convention as the family-5 closed form
-    for n in range(1, min(max_n, _QUAD_CAP) + 1):
-        rhs = 0
-        for k in range(1, n + 1):
-            for i in range(k, n + 1):
-                w = binom(i - 1, k - 1)
-                if w == 0:
-                    continue
-                inner = 1 if i == n else 0
-                for t in range(1, i + 1):
-                    ct = binom(i, t)
-                    for j in range(t, (n - i) // 2 + 1):
-                        inner += (
-                            ct * binom(j - 1, t - 1) * binom(n - i - j - 1, j - 1)
-                        )
-                rhs += w * inner
-        yield {"n": n}, fibonacci(2 * n - 1), rhs
+    # the quadruple sum is the family-4 c_1 row lifted to level 2, summed
+    spec = CaseSpec(4)
+    for n in range(1, max_n + 1):
+        yield {"n": n}, fibonacci(2 * n - 1), fm_explicit(spec, 2, n)
 
 
 def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
@@ -185,12 +147,12 @@ _REGISTRY: dict[str, Callable[[int], Iterator[Checkpoint]]] = {
     "fib-explicit": _explicit_transform(1, 1, fibonacci),
     "pell-explicit": _explicit_transform(1, 2, pell),
     "jacobsthal-explicit": _explicit_transform(2, 1, jacobsthal),
-    "fib-even": _fib_even,
-    "fib-odd": _fib_odd,
-    "jac-even": _jac_even,
-    "jac-odd": _jac_odd,
-    "pell-even": _pell_even,
-    "pell-odd": _pell_odd,
+    "fib-even": _index_split(1, 0, fibonacci),
+    "fib-odd": _index_split(1, 1, fibonacci),
+    "jac-even": _index_split(2, 0, jacobsthal),
+    "jac-odd": _index_split(2, 1, jacobsthal),
+    "pell-even": _pell_split(0),
+    "pell-odd": _pell_split(1),
     "case3-product": _case3_product,
     "euler-type": _euler_type,
     "mersenne-sum": _mersenne_sum,

@@ -31,9 +31,9 @@ from typing import Iterable, Iterator
 def binom(n: int, k: int) -> int:
     """C(n, k) with the convention C(n, k) = 0 whenever k < 0 or k > n.
 
-    Formula code evaluates binomial factors first and skips a term as soon
-    as one of them is zero; this is what keeps vanishing terms from ever
-    raising exponents like (a-1)**negative.
+    Formula sums whose exponents could go negative evaluate the binomial
+    factors first and skip a term as soon as one of them is zero; this is
+    what keeps vanishing terms from ever raising (a-1)**negative.
     """
     if k < 0 or k > n:
         return 0

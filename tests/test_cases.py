@@ -95,6 +95,13 @@ class TestF0:
     def test_single_letter_family1_dies_out(self):
         assert list(f0_prefix(CaseSpec(1, a=1), 5)) == [1, 1, 0, 0, 0]
 
+    def test_prefix_shorter_than_seeds(self):
+        # family 5 has three seeds; shorter prefixes truncate them
+        assert list(f0_prefix(CaseSpec(5), 1)) == [1]
+        assert list(f0_prefix(CaseSpec(5), 2)) == [1, 0]
+        assert f0_value(CaseSpec(5), 1) == 1
+        assert f0_value(CaseSpec(5), 2) == 0
+
 
 class TestFmSequence:
     def test_frozen_values(self):
@@ -102,6 +109,21 @@ class TestFmSequence:
         assert list(fm_sequence(CaseSpec(4), 2, 5)) == [1, 2, 5, 13, 34]
         assert list(fm_sequence(CaseSpec(5), 1, 6)) == [1, 1, 2, 4, 7, 13]
         assert list(fm_sequence(CaseSpec(2, a=2), 1, 5)) == [1, 1, 3, 5, 11]
+
+    # one row per family pins every entry of the recurrence table
+    @pytest.mark.parametrize(
+        "spec,row",
+        [
+            (CaseSpec(1, a=2), [1, 5, 23, 107, 497, 2309, 10727, 49835]),
+            (CaseSpec(2, a=2), [1, 3, 11, 39, 139, 495, 1763, 6279]),
+            (CaseSpec(3, a=3, b=1), [1, 6, 35, 204, 1189, 6930, 40391, 235416]),
+            (CaseSpec(4), [1, 3, 10, 34, 116, 396, 1352, 4616]),
+            (CaseSpec(5), [1, 3, 10, 34, 115, 389, 1316, 4452]),
+        ],
+        ids=["case1", "case2", "case3", "case4", "case5"],
+    )
+    def test_frozen_rows_at_level_three(self, spec, row):
+        assert list(fm_sequence(spec, 3, 8)) == row
 
     def test_too_short_for_seeds(self):
         with pytest.raises(ValueError):

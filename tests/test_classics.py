@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from restricted_words import cases
 from restricted_words.cases import CaseSpec, f0_prefix, fm_sequence
 from restricted_words.classics import (
     CLASSIC_NAMES,
@@ -13,6 +14,7 @@ from restricted_words.classics import (
     pell,
     tribonacci,
 )
+from restricted_words.sequences import Sequence
 
 
 def test_frozen_values():
@@ -36,6 +38,12 @@ def test_domain_errors():
             classic(name, floor - 1)
     with pytest.raises(ValueError):
         classic("lucas", 3)
+
+
+def test_padovan_does_not_read_family5(monkeypatch):
+    monkeypatch.setattr(cases, "f0_prefix", lambda spec, N: Sequence([7] * N))
+    assert [padovan(n) for n in range(3, 11)] == [1, 0, 1, 1, 1, 2, 2, 3]
+    assert padovan(30) == 816
 
 
 def test_padovan_is_shifted_family5_base():

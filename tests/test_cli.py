@@ -281,6 +281,15 @@ def test_words_list_marks_filter(capsys):
     assert all(w.count("2") == 1 for w in words)
 
 
+def test_words_list_negative_marks_exits_2(capsys):
+    argv = ["words", "--case", "4", "--m", "1", "--len", "3", "--marks", "-1"]
+    for extra in ([], ["--list"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert "marks must be >= 0" in err
+
+
 def test_words_budget_refusal_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "words", "--case", "1", "--a", "3", "--m", "0", "--len", "20",

@@ -73,7 +73,7 @@ def test_counterexamples_surface_lowest_n():
     assert "5 != 6" in rep.describe()
 
 
-def test_quadruple_sum_cap():
+def test_quadruple_sum_runs_to_max_n():
     report = check_identity("fib-2n-1-quad", 30)
     assert report.ok
-    assert report.checked == 20
+    assert report.checked == 30
