@@ -3,7 +3,9 @@
 Subcommands: ``seq`` (a family sequence from any source), ``triangle``
 (a level-m triangle from any source), ``verify`` (the cross-check
 matrix), ``identity`` (the named-identity registry), ``words`` (list or
-count valid words), and ``export`` (write json/csv/bfile files).
+count valid words), and ``export`` (write json/csv/bfile files).  The
+sources are the keys of the route tables in
+:mod:`restricted_words.verification`, the same routes ``verify`` checks.
 
 Exit codes: 0 success or verified, 1 verification counterexample,
 2 usage or parameter error, 3 I/O error.  All output is exact decimal
@@ -16,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cases
-from .cases import CaseSpec, fm_sequence, triangle_formula_available
+from .cases import CaseSpec
 from .formats import (
     render_bfile,
     render_json,
@@ -25,25 +26,25 @@ from .formats import (
     render_triangle_csv,
 )
 from .identity_checks import IDENTITY_NAMES, check_all, check_identity
-from .sequences import (
-    Sequence,
-    Triangle,
-    composition_triangle,
-    invert_power,
-    lift_triangle,
+from .sequences import Sequence, Triangle
+from .verification import (
+    SEQUENCE_ROUTES,
+    TRIANGLE_ROUTES,
+    adjudicate_case1_leading_term,
+    cross_check,
+    default_grid,
+    grid_levels,
+    sequence_values,
+    triangle_rows,
 )
-from .verification import adjudicate_case1_leading_term, cross_check, default_grid
 from .words import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    automaton_counts,
     count_exhaustive,
     count_marked_exhaustive,
     iter_words,
 )
 
-SEQ_SOURCES = ("recurrence", "invert", "explicit", "automaton")
-TRIANGLE_SOURCES = ("convolution", "formula", "eq3")
 EXPORT_FORMATS = ("json", "csv", "bfile")
 
 
@@ -71,52 +72,6 @@ def _spec_from(args: argparse.Namespace) -> CaseSpec:
     return CaseSpec(args.case, a=args.a, b=args.b)
 
 
-def sequence_values(spec: CaseSpec, m: int, N: int, source: str) -> list[int]:
-    """f_m(1..N) from one of the four sources; identical across them."""
-    if N < 1:
-        raise ValueError("--n must be >= 1")
-    if source == "recurrence":
-        seq = fm_sequence(spec, m, max(N, spec.seed_count))
-        return [seq.at(n) for n in range(1, N + 1)]
-    if source == "invert":
-        return list(invert_power(cases.f0_prefix(spec, N), m))
-    if source == "explicit":
-        if spec.case_id == 1 and m == 0:
-            raise ValueError(
-                "no closed form for case 1 at m=0; "
-                "available sources: recurrence, invert, automaton"
-            )
-        return [cases.fm_explicit(spec, m, n) for n in range(1, N + 1)]
-    if source == "automaton":
-        return automaton_counts(spec, m, N - 1)
-    raise ValueError(f"unknown source {source!r}")
-
-
-def triangle_rows(spec: CaseSpec, m: int, N: int, source: str) -> Triangle:
-    """The level-m triangle c_m(n,k), 1 <= k <= n <= N."""
-    if m < 1:
-        raise ValueError("triangles need --m >= 1")
-    if N < 1:
-        raise ValueError("--n must be >= 1")
-    if source == "convolution":
-        return composition_triangle(invert_power(cases.f0_prefix(spec, N), m - 1))
-    if source == "eq3":
-        return lift_triangle(composition_triangle(cases.f0_prefix(spec, N)), m)
-    if source == "formula":
-        if not triangle_formula_available(spec, m):
-            raise ValueError(
-                f"no closed form for case {spec.case_id} triangle at m={m}; "
-                "available sources: convolution, eq3"
-            )
-        return Triangle(
-            [
-                [cases.triangle_formula_value(spec, m, n, k) for k in range(1, n + 1)]
-                for n in range(1, N + 1)
-            ]
-        )
-    raise ValueError(f"unknown source {source!r}")
-
-
 def cmd_seq(args: argparse.Namespace) -> int:
     values = sequence_values(_spec_from(args), args.m, args.n, args.source)
     print(" ".join(str(v) for v in values))
@@ -141,11 +96,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.case is None:
             raise ValueError("verify needs --case, --all, or --adjudicate")
         spec = _spec_from(args)
-        if args.m is not None:
-            points = [(spec, args.m)]
-        else:
-            top = 3 if spec.case_id == 4 else 2
-            points = [(spec, m) for m in range(top + 1)]
+        levels = grid_levels(spec) if args.m is None else (args.m,)
+        points = [(spec, m) for m in levels]
     failed = False
     for spec, m in points:
         report = cross_check(
@@ -186,6 +138,8 @@ def cmd_words(args: argparse.Namespace) -> int:
             if args.marks < 0:
                 raise ValueError("marks must be >= 0")
             words = (w for w in words if w.count(s - 1) == args.marks)
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         for word in words:
             if s <= 10:
                 print("".join(str(c) for c in word))
@@ -208,10 +162,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     if args.triangle:
         source = args.source or "convolution"
-        if source not in TRIANGLE_SOURCES:
+        if source not in TRIANGLE_ROUTES:
             raise ValueError(
                 f"unknown triangle source {source!r}; choose from "
-                + ", ".join(TRIANGLE_SOURCES)
+                + ", ".join(TRIANGLE_ROUTES)
             )
         if args.format == "bfile":
             raise ValueError("bfile format holds sequences only, not triangles")
@@ -222,10 +176,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             text = render_json(spec, args.m, source, payload)
     else:
         source = args.source or "recurrence"
-        if source not in SEQ_SOURCES:
+        if source not in SEQUENCE_ROUTES:
             raise ValueError(
                 f"unknown sequence source {source!r}; choose from "
-                + ", ".join(SEQ_SOURCES)
+                + ", ".join(SEQUENCE_ROUTES)
             )
         payload = Sequence(sequence_values(spec, args.m, args.n, source))
         if args.format == "bfile":
@@ -254,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_arguments(p)
     p.add_argument("--m", type=int, default=0, help="number of marked letters")
     p.add_argument("--n", type=int, required=True, help="how many terms")
-    p.add_argument("--source", choices=SEQ_SOURCES, default="recurrence")
+    p.add_argument("--source", choices=SEQUENCE_ROUTES, default="recurrence")
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("triangle", help="print the level-m triangle")
     _add_family_arguments(p)
     p.add_argument("--m", type=int, default=1, help="level, at least 1")
     p.add_argument("--n", type=int, required=True, help="number of rows")
-    p.add_argument("--source", choices=TRIANGLE_SOURCES, default="convolution")
+    p.add_argument("--source", choices=TRIANGLE_ROUTES, default="convolution")
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("verify", help="run the cross-check matrix")

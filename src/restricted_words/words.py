@@ -294,8 +294,7 @@ def count_marked_exhaustive(
 ) -> int:
     """Number of valid words with exactly ``marks`` marked letters;
     equals the triangle cell c_m(length+1, marks+1)."""
-    if m < 1:
-        raise ValueError("marked counting needs m >= 1 (no marked letter exists)")
+    _check_marked(m)
     if marks < 0:
         raise ValueError("marks must be >= 0")
     if marks > length:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -12,9 +13,10 @@ import pytest
 import restricted_words
 from restricted_words import cases
 from restricted_words.cases import CaseSpec, fm_sequence
-from restricted_words.cli import main
+from restricted_words.cli import build_parser, main
 from restricted_words.formats import parse_bfile, parse_json, parse_triangle_csv
 from restricted_words.sequences import composition_triangle, invert_power
+from restricted_words.verification import SEQUENCE_ROUTES, TRIANGLE_ROUTES
 
 from conftest import GRID_SPECS, levels_for, point_id, spec_id
 
@@ -184,11 +186,12 @@ def test_verify_single_point_exits_0(capsys):
 
 
 def test_verify_all_levels_of_one_case(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--case", "5", "--max-len", "6", "--triangle-n", "7"
-    )
-    assert code == 0
-    assert out.count("cross-check:") == 3
+    for case, reports in (("5", 3), ("4", 4)):
+        code, out, _ = run_cli(
+            capsys, "verify", "--case", case, "--max-len", "6", "--triangle-n", "7"
+        )
+        assert code == 0
+        assert out.count("cross-check:") == reports
 
 
 def test_verify_without_target_exits_2(capsys):
@@ -290,6 +293,15 @@ def test_words_list_negative_marks_exits_2(capsys):
         assert "marks must be >= 0" in err
 
 
+def test_words_list_rejects_zero_jobs(capsys):
+    argv = ["words", "--case", "4", "--m", "1", "--len", "2", "--jobs", "0"]
+    for extra in ([], ["--list"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: jobs must be >= 1\n"
+
+
 def test_words_budget_refusal_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "words", "--case", "1", "--a", "3", "--m", "0", "--len", "20",
@@ -361,6 +373,48 @@ def test_export_bfile_triangle_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "sequences only" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            ["--source", "bogus"],
+            "unknown sequence source 'bogus'; "
+            "choose from recurrence, invert, explicit, automaton",
+        ),
+        (
+            ["--triangle", "--source", "recurrence"],
+            "unknown triangle source 'recurrence'; "
+            "choose from convolution, formula, eq3",
+        ),
+    ],
+)
+def test_export_unknown_source_exits_2(capsys, extra, message):
+    code, out, err = run_cli(
+        capsys, "export", "--case", "4", "--m", "1", "--n", "4", "--format",
+        "json", "--out", "-", *extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, routes", [("seq", SEQUENCE_ROUTES), ("triangle", TRIANGLE_ROUTES)]
+)
+def test_source_choices_are_the_route_tables(command, routes):
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    source = next(
+        action
+        for action in subparsers.choices[command]._actions
+        if action.dest == "source"
+    )
+    assert list(source.choices) == list(routes)
 
 
 def test_export_unwritable_destination_exits_3(capsys, tmp_path):

@@ -124,6 +124,21 @@ def test_corrupted_formula_is_caught(monkeypatch):
     assert {"lhs", "rhs"} <= set(bad[0].witness)
 
 
+def test_corrupted_explicit_route_is_caught(monkeypatch):
+    real = cases.fm_explicit
+
+    def corrupt(spec, m, n):
+        value = real(spec, m, n)
+        return value + 1 if n == 4 else value
+
+    monkeypatch.setattr(cases, "fm_explicit", corrupt)
+    report = cross_check(CaseSpec(2, a=2), 1, max_len=5, triangle_n=6)
+    bad = [c for c in report.comparisons if not c.ok]
+    assert [c.label for c in bad] == ["explicit-fm-vs-recurrence"]
+    assert bad[0].witness["n"] == 4
+    assert "explicit-fm-vs-recurrence: MISMATCH at n=4" in report.describe()
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         cross_check(CaseSpec(4), 1, max_len=-1)
