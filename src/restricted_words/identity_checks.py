@@ -95,11 +95,14 @@ def _pell_split(parity: int) -> Callable[[int], Iterator[Checkpoint]]:
 
 def _case3_product(max_n: int) -> Iterator[Checkpoint]:
     # sum over compositions of n into k parts of prod (b^i - 1), against
-    # (b-1)^k times the family-3 closed form at a = b+1
+    # (b-1)^k times the family-3 closed form at a = b+1; row n of a
+    # triangle reads only the weights up to n, so one per b serves every n
+    triangles = {
+        b: composition_triangle(Sequence(b**i - 1 for i in range(1, max_n + 1)))
+        for b in (2, 3)
+    }
     for n in range(1, max_n + 1):
-        for b in (2, 3):
-            weights = Sequence(b**i - 1 for i in range(1, n + 1))
-            triangle = composition_triangle(weights)
+        for b, triangle in triangles.items():
             for k in range(1, n + 1):
                 rhs = (b - 1) ** k * c1_case3_repunit(b, n, k)
                 yield {"n": n, "b": b, "k": k}, triangle.at(n, k), rhs

@@ -24,6 +24,7 @@ is relied on throughout, matching Python's own ``pow``.
 from __future__ import annotations
 
 import math
+import operator
 from numbers import Integral
 from typing import Iterable, Iterator
 
@@ -138,11 +139,11 @@ class Triangle:
 
 def invert(f: Sequence | Iterable[int]) -> Sequence:
     """Invert transform: b(n) = f(n) + sum_{i=1}^{n-1} f(i) * b(n-i)."""
-    f = as_sequence(f)
+    vals = as_sequence(f).values
     out: list[int] = []
-    for n in range(1, len(f) + 1):
-        b = f.at(n) + sum(f.at(i) * out[n - i - 1] for i in range(1, n))
-        out.append(b)
+    for fn in vals:
+        # f(1) * b(n-1) + ... + f(n-1) * b(1); map stops at the shorter
+        out.append(fn + sum(map(operator.mul, vals, reversed(out))))
     return Sequence(out)
 
 
@@ -158,10 +159,10 @@ def invert_power(f: Sequence | Iterable[int], m: int) -> Sequence:
         raise ValueError("m must be >= 0")
     if m == 0:
         return f
+    vals = f.values
     out: list[int] = []
-    for n in range(1, len(f) + 1):
-        b = f.at(n) + m * sum(f.at(i) * out[n - i - 1] for i in range(1, n))
-        out.append(b)
+    for fn in vals:
+        out.append(fn + m * sum(map(operator.mul, vals, reversed(out))))
     return Sequence(out)
 
 
@@ -172,16 +173,22 @@ def composition_triangle(f: Sequence | Iterable[int]) -> Triangle:
     with c(n,1) = f(n); column k equals the degree-n coefficients of the k-th
     power of the generating polynomial of f.
     """
-    f = as_sequence(f)
-    size = len(f)
-    # c[n][k], 1-based in both coordinates
-    c = [[0] * (size + 1) for _ in range(size + 1)]
-    for n in range(1, size + 1):
-        c[n][1] = f.at(n)
+    vals = as_sequence(f).values
+    size = len(vals)
+    # columns[k-1][u] = c(k+u, k), column k read down from its diagonal
+    # cell; column k is column k-1 convolved with f
+    columns = [list(vals)]
     for k in range(2, size + 1):
-        for n in range(k, size + 1):
-            c[n][k] = sum(f.at(i) * c[n - i][k - 1] for i in range(1, n - k + 2))
-    return Triangle([c[n][1 : n + 1] for n in range(1, size + 1)])
+        prev = columns[-1]
+        columns.append(
+            [
+                sum(map(operator.mul, vals, reversed(prev[: u + 1])))
+                for u in range(size - k + 1)
+            ]
+        )
+    return Triangle(
+        [columns[k - 1][n - k] for k in range(1, n + 1)] for n in range(1, size + 1)
+    )
 
 
 def row_sums(t: Triangle) -> Sequence:

@@ -23,6 +23,10 @@ Three independent routes to the same numbers:
   lengths 0..N) read a whole sequence or triangle off one pass instead
   of recounting each prefix.
 
+numpy and the process pool are imported by the first enumeration, not
+with this module, so importing the package (and every CLI call that
+enumerates nothing) starts without them.
+
 f_m(n) counts valid words of length n-1, so counts at word length L line
 up with sequence index L+1.  The marked letter is always the largest
 letter of the extended alphabet and exists only for m >= 1; a word with
@@ -34,13 +38,13 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence as SequenceABC
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .cases import CaseSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -140,6 +144,8 @@ def max_enumerable_length(
 
 
 def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     a = spec.base_alphabet
     cid = spec.case_id
     n_rows, length = block.shape
@@ -207,6 +213,8 @@ def _histogram_block(
 ) -> list[int]:
     # counts of valid words by number of marked letters, over all words
     # (optionally fixed first letter)
+    import numpy as np
+
     s = spec.alphabet_size(m)
     marked = s - 1
     hist = np.zeros(length + 1, dtype=np.int64)
@@ -262,6 +270,8 @@ def marked_histogram(
     workers = min(jobs, s, os.cpu_count() or 1)
     if workers == 1 or length == 0:
         return _histogram_block(spec, m, length, None)
+    from concurrent.futures import ProcessPoolExecutor
+
     hist = [0] * (length + 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
@@ -297,9 +307,8 @@ def count_marked_exhaustive(
     _check_marked(m)
     if marks < 0:
         raise ValueError("marks must be >= 0")
-    if marks > length:
-        return 0
-    return marked_histogram(spec, m, length, budget=budget, jobs=jobs)[marks]
+    hist = marked_histogram(spec, m, length, budget=budget, jobs=jobs)
+    return hist[marks] if marks <= length else 0
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from restricted_words.cli import build_parser, main
 from restricted_words.formats import parse_bfile, parse_json, parse_triangle_csv
 from restricted_words.sequences import composition_triangle, invert_power
 from restricted_words.verification import SEQUENCE_ROUTES, TRIANGLE_ROUTES
+from restricted_words.words import count_automaton
 
 from conftest import GRID_SPECS, levels_for, point_id, spec_id
 
@@ -318,6 +320,23 @@ def test_words_marks_without_marked_letter_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["--len", "-1"], "error: length must be >= 0\n"),
+        (["--len", "2", "--jobs", "0"], "error: jobs must be >= 1\n"),
+        (["--len", "2", "--budget", "0"],
+         "error: enumerating 9 words exceeds the budget of 0\n"),
+    ],
+)
+@pytest.mark.parametrize("marks", ["0", "5"])
+def test_words_marks_validates_like_the_count(capsys, args, err, marks):
+    # marks beyond the length count 0 words, but only for valid arguments
+    argv = ["words", "--case", "4", "--m", "1", *args]
+    assert run_cli(capsys, *argv) == (2, "", err)
+    assert run_cli(capsys, *argv, "--marks", marks) == (2, "", err)
+
+
 def test_export_bfile_round_trip(capsys, tmp_path):
     out_path = tmp_path / "seq.bfile"
     code, _, _ = run_cli(
@@ -446,3 +465,56 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1 1 2 3 5 8 13 21\n"
+
+
+_COLD_START_PROBE = """
+import contextlib, io, json, sys
+from restricted_words import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+def loaded():
+    heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+    return [name for name in heavy if name in sys.modules]
+
+stages = {"import": loaded()}
+cli.build_parser()
+stages["build_parser"] = loaded()
+run("seq", "--case", "4", "--m", "2", "--n", "12", "--source", "invert")
+stages["seq"] = loaded()
+run("triangle", "--case", "2", "--a", "1", "--m", "2", "--n", "8", "--source", "eq3")
+stages["triangle"] = loaded()
+run("identity", "--all", "--max-n", "8")
+stages["identity"] = loaded()
+run("export", "--case", "5", "--m", "1", "--n", "8", "--triangle",
+    "--format", "json", "--out", "-")
+stages["export"] = loaded()
+counts = [run("words", "--case", "5", "--m", "2", "--len", "7", *jobs)
+          for jobs in ([], ["--jobs", "2"])]
+stages["words"] = loaded()
+print(json.dumps({"stages": stages, "counts": counts}))
+"""
+
+
+def test_cold_start_loads_no_numpy_or_process_pool():
+    # only brute enumeration needs numpy and the pool; every other command
+    # leaves them unimported, so a fresh CLI call starts without them
+    src = str(Path(restricted_words.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    stages = report["stages"]
+    for stage in ("import", "build_parser", "seq", "triangle", "identity", "export"):
+        assert stages[stage] == [], stage
+    assert "numpy" in stages["words"]
+    expect = count_automaton(CaseSpec(5), 2, 7)
+    assert report["counts"] == [f"{expect}\n"] * 2

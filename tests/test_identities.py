@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from restricted_words import cases, identity_checks
 from restricted_words.identity_checks import (
     IDENTITY_NAMES,
     check_all,
@@ -77,3 +78,23 @@ def test_quadruple_sum_runs_to_max_n():
     report = check_identity("fib-2n-1-quad", 30)
     assert report.ok
     assert report.checked == 30
+
+
+def test_case3_product_counts_every_cell():
+    report = check_identity("case3-product", 30)
+    assert report.ok
+    assert report.checked == 930
+
+
+def test_case3_product_reports_the_broken_cell(monkeypatch):
+    # the closed form as the identity calls it, off by one at one cell
+    def off_at_7_3_4(b, n, k):
+        return cases.c1_case3_repunit(b, n, k) + ((b, n, k) == (3, 7, 4))
+
+    monkeypatch.setattr(identity_checks, "c1_case3_repunit", off_at_7_3_4)
+    report = check_identity("case3-product", 12)
+    assert not report.ok
+    assert report.counterexample.params == {"n": 7, "b": 3, "k": 4}
+    # checks run n = 1..6 (2n each), then n = 7 for b = 2, then k = 1..4
+    assert report.checked == 42 + 7 + 4
+    assert report.counterexample.rhs == report.counterexample.lhs + 2**4

@@ -280,7 +280,7 @@ class TestJobsCap:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr(words, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
         return _InlinePool.sizes
 
     def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch):
