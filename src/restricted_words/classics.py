@@ -25,39 +25,32 @@ CLASSIC_NAMES = (
 )
 
 
-def _two_term(n: int, s1: int, s2: int, c1: int, c2: int) -> int:
-    # x(n+2) = c1*x(n+1) + c2*x(n) from seeds s1, s2
-    if n == 1:
-        return s1
-    prev, cur = s1, s2
-    for _ in range(n - 2):
-        prev, cur = cur, c1 * cur + c2 * prev
-    return cur
+def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> int:
+    # x(n) for n >= 1, where x(1), x(2), ... start with the seeds and then
+    # x(j) = sum(c * x(j - d) for d, c in enumerate(coefficients, 1))
+    window = list(seeds)
+    for _ in range(n - len(seeds)):
+        window.append(sum(c * x for c, x in zip(coefficients, reversed(window))))
+        del window[0]
+    return window[min(n, len(seeds)) - 1]
 
 
 def fibonacci(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _fibonacci0(n)
-
-
-def _fibonacci0(n: int) -> int:
-    # F(0) = 0 admitted internally; the family-4 base count is F(n-2)
-    if n == 0:
-        return 0
-    return _two_term(n, 1, 1, 1, 1)
+    return _linear(n, (1, 1), (1, 1))
 
 
 def pell(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _two_term(n, 1, 2, 2, 1)
+    return _linear(n, (1, 2), (2, 1))
 
 
 def jacobsthal(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _two_term(n, 1, 1, 1, 2)
+    return _linear(n, (1, 1), (1, 2))
 
 
 def mersenne(n: int) -> int:
@@ -69,21 +62,14 @@ def mersenne(n: int) -> int:
 def tribonacci(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= 3:
-        return (1, 1, 2)[n - 1]
-    a, b, c = 1, 1, 2
-    for _ in range(n - 3):
-        a, b, c = b, c, a + b + c
-    return c
+    return _linear(n, (1, 1, 2), (1, 1, 1))
 
 
 def padovan(n: int) -> int:
     if n < 3:
         raise ValueError("padovan is defined for n >= 3 here")
-    a, b, c = 1, 0, 1
-    for _ in range(n - 3):
-        a, b, c = b, c, a + b
-    return a
+    # P(3), P(4), P(5) = 1, 0, 1 and P(n) = P(n-2) + P(n-3)
+    return _linear(n - 2, (1, 0, 1), (0, 1, 1))
 
 
 _DISPATCH = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from .cases import CaseSpec
 from .formats import (
@@ -56,15 +57,12 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=int, default=None, help="alphabet parameter b")
 
 
-def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_budget_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
         help="maximum number of words an enumeration may touch",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for enumeration"
     )
 
 
@@ -85,11 +83,18 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_reports(reports: Iterable) -> int:
+    # every report is printed, even after a failed one
+    failed = False
+    for report in reports:
+        print(report.describe())
+        failed = failed or not report.ok
+    return 1 if failed else 0
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.adjudicate:
-        report = adjudicate_case1_leading_term()
-        print(report.describe())
-        return 0 if report.ok else 1
+        return _print_reports([adjudicate_case1_leading_term()])
     if args.all:
         points = default_grid()
     else:
@@ -98,19 +103,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         spec = _spec_from(args)
         levels = grid_levels(spec) if args.m is None else (args.m,)
         points = [(spec, m) for m in levels]
-    failed = False
-    for spec, m in points:
-        report = cross_check(
+    return _print_reports(
+        cross_check(
             spec,
             m,
             max_len=args.max_len,
             triangle_n=args.triangle_n,
             budget=args.budget,
-            jobs=args.jobs,
         )
-        print(report.describe())
-        failed = failed or not report.ok
-    return 1 if failed else 0
+        for spec, m in points
+    )
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
@@ -120,11 +122,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
         reports = [check_identity(args.name, max_n=args.max_n)]
     else:
         raise ValueError("identity needs --name or --all")
-    failed = False
-    for report in reports:
-        print(report.describe())
-        failed = failed or not report.ok
-    return 1 if failed else 0
+    return _print_reports(reports)
 
 
 def cmd_words(args: argparse.Namespace) -> int:
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-len", type=int, default=8, dest="max_len")
     p.add_argument("--triangle-n", type=int, default=10, dest="triangle_n")
-    _add_budget_arguments(p)
+    _add_budget_argument(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identity", help="check named identities")
@@ -247,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", type=int, required=True, help="word length")
     p.add_argument("--marks", type=int, default=None, help="exact marked-letter count")
     p.add_argument("--list", action="store_true", help="print the words themselves")
-    _add_budget_arguments(p)
+    _add_budget_argument(p)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for enumeration"
+    )
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("export", help="write a sequence or triangle to a file")
@@ -269,17 +270,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact integers of any length print; the caller's limit comes back
+    # on return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

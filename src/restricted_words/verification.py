@@ -196,7 +196,6 @@ def cross_check(
     max_len: int = 10,
     triangle_n: int = 12,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> CrossCheckReport:
     """Run every applicable comparison for one (family, level) point.
 
@@ -211,7 +210,7 @@ def cross_check(
     enum_len = min(max_len, words.max_enumerable_length(spec, m, budget))
     # one enumeration per length serves both the plain and the marked checks
     hists = [
-        words.marked_histogram(spec, m, L, budget=budget, jobs=jobs)
+        words.marked_histogram(spec, m, L, budget=budget)
         for L in range(enum_len + 1)
     ]
     # one DP pass serves both plain automaton comparisons; fm reaches

@@ -52,12 +52,17 @@ _CHUNK_ROWS = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised instead of silently truncating an over-budget enumeration."""
+    """Raised instead of silently truncating an over-budget enumeration.
 
-    def __init__(self, required: int, budget: int) -> None:
-        super().__init__(
-            f"enumerating {required} words exceeds the budget of {budget}"
-        )
+    ``required`` is the exact number ``s**length`` of words the
+    enumeration would touch, or None where it was not computed: for
+    words longer than 64 letters over two or more letters, when the
+    budget has fewer bits than the word has letters, so the count is
+    certainly over it.  ``count`` is how the message writes the number
+    of words: ``required`` in decimal up to 64 letters, else ``s**length``."""
+
+    def __init__(self, required: int | None, budget: int, count: str) -> None:
+        super().__init__(f"enumerating {count} words exceeds the budget of {budget}")
         self.required = required
         self.budget = budget
 
@@ -111,16 +116,31 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     return True
 
 
+def _enumerable_alphabet(
+    spec: CaseSpec, m: int, length: int, budget: int, jobs: int = 1
+) -> int:
+    # the alphabet size, once the arguments are valid and all s**length
+    # words of the given length fit the budget
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    s = spec.alphabet_size(m)
+    # at least 2**length words, so certainly over a budget of fewer bits;
+    # the count is then formed only when short enough to print
+    over = s >= 2 and length > budget.bit_length()
+    required = None if over and length > 64 else s**length
+    if over or required > budget:
+        count = str(required) if length <= 64 else f"{s}**{length}"
+        raise BudgetExceeded(required, budget, count)
+    return s
+
+
 def iter_words(
     spec: CaseSpec, m: int, length: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """All valid words of the given length, in lexicographic order."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    s = spec.alphabet_size(m)
-    required = s**length
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    s = _enumerable_alphabet(spec, m, length, budget)
     for word in itertools.product(range(s), repeat=length):
         if is_valid(spec, m, word):
             yield word
@@ -259,14 +279,7 @@ def marked_histogram(
 
     With ``jobs > 1`` the words are split by first letter over a pool of
     at most ``min(jobs, s, os.cpu_count())`` worker processes."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    s = spec.alphabet_size(m)
-    required = s**length
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    s = _enumerable_alphabet(spec, m, length, budget, jobs)
     workers = min(jobs, s, os.cpu_count() or 1)
     if workers == 1 or length == 0:
         return _histogram_block(spec, m, length, None)
@@ -338,62 +351,41 @@ class Dfa:
 
 
 def build_dfa(spec: CaseSpec, m: int) -> Dfa:
-    """Hand-built automaton recognizing exactly the valid words."""
+    """Hand-built automaton recognizing exactly the valid words.
+
+    Each family is written as a step rule ``step(state, letter)``
+    giving the next state or -1, and one loop tabulates every rule."""
     s = spec.alphabet_size(m)
     a = spec.base_alphabet
     cid = spec.case_id
     if cid == 1:
         # state 0: last letter unrestricted or none; state c+1: last
         # restricted letter was c
-        trans = []
-        for state in range(a + 1):
-            row = []
-            for letter in range(s):
-                if letter >= a:
-                    row.append(0)
-                elif state == letter + 1:
-                    row.append(-1)
-                else:
-                    row.append(letter + 1)
-            trans.append(tuple(row))
+        def step(state: int, letter: int) -> int:
+            if letter >= a:
+                return 0
+            return -1 if state == letter + 1 else letter + 1
+
         accepting = (True,) * (a + 1)
-        return Dfa(0, tuple(trans), accepting)
-    if cid == 2:
+    elif cid == 2:
         # state 0: between runs; states 1+2c / 2+2c: open run of c with
         # odd / even length
-        def odd(c: int) -> int:
-            return 1 + 2 * c
+        def step(state: int, letter: int) -> int:
+            if state % 2:
+                # an odd run must go on with its own letter
+                return state + 1 if letter == (state - 1) // 2 else -1
+            return 1 + 2 * letter if letter < a else 0
 
-        def even(c: int) -> int:
-            return 2 + 2 * c
-
-        trans = [tuple(odd(c) if c < a else 0 for c in range(s))]
-        for c in range(a):
-            row_odd = []
-            row_even = []
-            for letter in range(s):
-                if letter == c:
-                    row_odd.append(even(c))
-                    row_even.append(odd(c))
-                elif letter < a:
-                    row_odd.append(-1)
-                    row_even.append(odd(letter))
-                else:
-                    row_odd.append(-1)
-                    row_even.append(0)
-            trans.append(tuple(row_odd))
-            trans.append(tuple(row_even))
-        accepting = tuple(st == 0 or st % 2 == 0 for st in range(2 * a + 1))
-        return Dfa(0, tuple(trans), accepting)
-    if cid == 3:
+        accepting = tuple(st % 2 == 0 for st in range(2 * a + 1))
+    elif cid == 3:
         # only "was the previous letter 0" matters
-        b = spec.b
-        row_after_other = tuple(1 if x == 0 else 0 for x in range(s))
-        row_after_zero = tuple(
-            1 if x == 0 else (-1 if x <= b else 0) for x in range(s)
-        )
-        return Dfa(0, (row_after_other, row_after_zero), (True, True))
-    if cid == 4:
+        def step(state: int, letter: int) -> int:
+            if letter == 0:
+                return 1
+            return -1 if state == 1 and letter <= spec.b else 0
+
+        accepting = (True, True)
+    elif cid == 4:
         # state 0: neutral; state 1: after the single 1, a 0 is owed;
         # state 2: inside a 0-run
         def step(state: int, letter: int) -> int:
@@ -403,35 +395,34 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
                 return -1 if state == 1 else 1
             return 2 if state in (1, 2) else -1
 
-        trans = tuple(
-            tuple(step(st, letter) for letter in range(s)) for st in range(3)
-        )
-        return Dfa(0, trans, (True, False, True))
-    # family 5: 0-run length mod 2 and 1-run length mod 3
-    # states: 0 neutral; 1/2: 0-run odd/even; 3/4/5: 1-run mod 1/2/0
-    def step5(state: int, letter: int) -> int:
-        if letter > 1:
-            return 0 if state in (0, 2, 5) else -1
-        if letter == 0:
-            if state in (0, 5):
-                return 1
-            if state == 1:
-                return 2
-            if state == 2:
-                return 1
+        accepting = (True, False, True)
+    else:
+        # family 5: 0-run length mod 2 and 1-run length mod 3
+        # states: 0 neutral; 1/2: 0-run odd/even; 3/4/5: 1-run mod 1/2/0
+        def step(state: int, letter: int) -> int:
+            if letter > 1:
+                return 0 if state in (0, 2, 5) else -1
+            if letter == 0:
+                if state in (0, 5):
+                    return 1
+                if state == 1:
+                    return 2
+                if state == 2:
+                    return 1
+                return -1
+            if state in (0, 2):
+                return 3
+            if state == 3:
+                return 4
+            if state == 4:
+                return 5
+            if state == 5:
+                return 3
             return -1
-        if state in (0, 2):
-            return 3
-        if state == 3:
-            return 4
-        if state == 4:
-            return 5
-        if state == 5:
-            return 3
-        return -1
 
-    trans = tuple(tuple(step5(st, letter) for letter in range(s)) for st in range(6))
-    return Dfa(0, trans, (True, False, True, False, False, True))
+        accepting = (True, False, True, False, False, True)
+    trans = tuple(tuple(step(st, x) for x in range(s)) for st in range(len(accepting)))
+    return Dfa(0, trans, accepting)
 
 
 def _live_moves(dfa: Dfa, letters: range) -> list[list[tuple[int, int]]]:

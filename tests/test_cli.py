@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,22 @@ def test_long_seq_automaton_matches_recurrence(capsys, point):
     ]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+def test_seq_prints_integers_past_the_default_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, "seq", "--case", "1", "--a", "3", "--m", "3", "--n", "7000"
+    )
+    assert (code, err) == (0, "")
+    # the caller's limit is back; lift it here only to read the answer
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        last = int(out.split()[-1])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert last == fm_sequence(CaseSpec(1, a=3), 3, 7000).at(7000)
 
 
 def test_seq_short_prefix_still_works(capsys):
@@ -311,6 +328,17 @@ def test_words_budget_refusal_exits_2(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("length", ["100000", "100000000"])
+@pytest.mark.parametrize("extra", [[], ["--list"]])
+def test_words_refuses_very_long_words_quickly(capsys, length, extra):
+    start = time.perf_counter()
+    argv = ["words", "--case", "1", "--a", "3", "--len", length, *extra]
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    err = f"error: enumerating 3**{length} words exceeds the budget of 2000000\n"
+    assert result == (2, "", err)
 
 
 def test_words_marks_without_marked_letter_exits_2(capsys):

@@ -15,6 +15,7 @@ from restricted_words import words
 from restricted_words.cases import CaseSpec, f0_prefix, fm_sequence
 from restricted_words.sequences import composition_triangle, lift_triangle
 from restricted_words.words import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     automaton_counts,
     automaton_histograms,
@@ -27,6 +28,15 @@ from restricted_words.words import (
     marked_histogram,
     max_enumerable_length,
 )
+
+
+# parameters outside the grid, where no other test reaches the DFA builders
+OFF_GRID_POINTS = [
+    (spec, m)
+    for spec in [CaseSpec(c, a=a) for c in (1, 2) for a in (4, 5)]
+    + [CaseSpec(3, a=a, b=b) for a, b in ((5, 3), (5, 4), (6, 1))]
+    for m in range(4)
+]
 
 
 class TestIsValid:
@@ -115,6 +125,32 @@ class TestCountExhaustive:
             count_exhaustive(CaseSpec(4), 2, 30, budget=1000)
         assert exc.value.required == 4**30
         assert exc.value.budget == 1000
+
+    @pytest.mark.parametrize(
+        "length, budget, required, count",
+        [
+            (64, DEFAULT_BUDGET, 3**64, str(3**64)),
+            (65, DEFAULT_BUDGET, None, "3**65"),
+            (65, 2**100, 3**65, "3**65"),
+            (10**8, DEFAULT_BUDGET, None, "3**100000000"),
+        ],
+    )
+    @pytest.mark.parametrize("listing", [False, True])
+    def test_budget_refusal_of_long_words(
+        self, length, budget, required, count, listing
+    ):
+        # beyond 64 letters the message writes the count as a power, and a
+        # count certainly over the budget is never formed
+        spec = CaseSpec(1, a=3)
+        with pytest.raises(BudgetExceeded) as exc:
+            if listing:
+                next(iter_words(spec, 0, length, budget))
+            else:
+                count_exhaustive(spec, 0, length, budget)
+        assert exc.value.required == required
+        assert str(exc.value) == (
+            f"enumerating {count} words exceeds the budget of {budget}"
+        )
 
     def test_parallel_jobs_agree(self):
         spec, m = CaseSpec(5), 2
@@ -333,7 +369,7 @@ class TestDfa:
         dfa = build_dfa(CaseSpec(5), 1)
         assert dfa.accepting == (True, False, True, False, False, True)
 
-    @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
+    @pytest.mark.parametrize("point", GRID_POINTS + OFF_GRID_POINTS, ids=point_id)
     def test_language_equals_predicate(self, point):
         spec, m = point
         dfa = build_dfa(spec, m)
