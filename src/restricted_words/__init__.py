@@ -16,6 +16,7 @@ from .cases import (
     f0_prefix,
     f0_value,
     fm_explicit,
+    fm_formula_available,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_value,
@@ -96,6 +97,7 @@ __all__ = [
     "f0_prefix",
     "f0_value",
     "fm_explicit",
+    "fm_formula_available",
     "fm_sequence",
     "invert",
     "invert_power",

@@ -292,7 +292,7 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if spec.case_id == 1 and m < 1:
+    if not fm_formula_available(spec, m):
         raise ValueError("family 1 closed form needs m >= 1")
     if spec.case_id == 2:
         return sum(
@@ -303,6 +303,12 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
         return c1_explicit(spec, n, 1)
     row = [c1_explicit(spec, n, i) for i in range(1, n + 1)]
     return sum(_lift(row[k - 1 :], m, k) for k in range(1, n + 1))
+
+
+def fm_formula_available(spec: CaseSpec, m: int) -> bool:
+    """Whether :func:`fm_explicit` covers f_m at level m >= 0: every
+    family at every level except family 1 at m = 0."""
+    return not (spec.case_id == 1 and m == 0)
 
 
 def triangle_formula_available(spec: CaseSpec, m: int) -> bool:

@@ -41,6 +41,8 @@ from .verification import (
 from .words import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    _check_marks,
+    _enumerable_alphabet,
     count_exhaustive,
     count_marked_exhaustive,
     iter_words,
@@ -49,9 +51,11 @@ from .words import (
 EXPORT_FORMATS = ("json", "csv", "bfile")
 
 
-def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_family_arguments(
+    parser: argparse.ArgumentParser, required: bool = True
+) -> None:
     parser.add_argument(
-        "--case", type=int, required=True, choices=range(1, 6), help="family 1..5"
+        "--case", type=int, required=required, choices=range(1, 6), help="family 1..5"
     )
     parser.add_argument("--a", type=int, default=None, help="alphabet parameter a")
     parser.add_argument("--b", type=int, default=None, help="alphabet parameter b")
@@ -129,16 +133,13 @@ def cmd_words(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     s = spec.alphabet_size(args.m)
     if args.list:
-        words = iter_words(spec, args.m, args.len, budget=args.budget)
+        # the count's checks, in the count's order, before the first word
         if args.marks is not None:
-            if args.m < 1:
-                raise ValueError("--marks needs --m >= 1")
-            if args.marks < 0:
-                raise ValueError("marks must be >= 0")
-            words = (w for w in words if w.count(s - 1) == args.marks)
-        if args.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        for word in words:
+            _check_marks(args.m, args.marks)
+        _enumerable_alphabet(spec, args.m, args.len, args.budget, args.jobs)
+        for word in iter_words(spec, args.m, args.len, budget=args.budget):
+            if args.marks is not None and word.count(s - 1) != args.marks:
+                continue
             if s <= 10:
                 print("".join(str(c) for c in word))
             else:
@@ -160,11 +161,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     if args.triangle:
         source = args.source or "convolution"
-        if source not in TRIANGLE_ROUTES:
-            raise ValueError(
-                f"unknown triangle source {source!r}; choose from "
-                + ", ".join(TRIANGLE_ROUTES)
-            )
         if args.format == "bfile":
             raise ValueError("bfile format holds sequences only, not triangles")
         payload: Sequence | Triangle = triangle_rows(spec, args.m, args.n, source)
@@ -174,11 +170,6 @@ def cmd_export(args: argparse.Namespace) -> int:
             text = render_json(spec, args.m, source, payload)
     else:
         source = args.source or "recurrence"
-        if source not in SEQUENCE_ROUTES:
-            raise ValueError(
-                f"unknown sequence source {source!r}; choose from "
-                + ", ".join(SEQUENCE_ROUTES)
-            )
         payload = Sequence(sequence_values(spec, args.m, args.n, source))
         if args.format == "bfile":
             text = render_bfile(payload)
@@ -217,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("verify", help="run the cross-check matrix")
-    p.add_argument("--case", type=int, choices=range(1, 6), default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
+    _add_family_arguments(p, required=False)
     p.add_argument("--m", type=int, default=None, help="one level; default all")
     p.add_argument("--all", action="store_true", help="whole parameter grid")
     p.add_argument(

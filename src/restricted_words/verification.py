@@ -1,7 +1,9 @@
 """The route table and the cross-checks tying every route to every other.
 
 :data:`SEQUENCE_ROUTES` and :data:`TRIANGLE_ROUTES` hold the one
-implementation of each sequence and triangle route.  The CLI's
+implementation of each sequence and triangle route; ``explicit`` and
+``formula`` cover only the points :func:`cases.fm_formula_available`
+and :func:`cases.triangle_formula_available` accept.  The CLI's
 ``--source`` and :func:`cross_check` both reach them through
 :func:`sequence_values` and :func:`triangle_rows`.
 
@@ -45,35 +47,13 @@ def _recurrence(spec: CaseSpec, m: int, N: int) -> list[int]:
     return [seq.at(n) for n in range(1, N + 1)]
 
 
-def _explicit(spec: CaseSpec, m: int, N: int) -> list[int]:
-    if spec.case_id == 1 and m == 0:
-        raise ValueError(
-            "no closed form for case 1 at m=0; available sources: "
-            + ", ".join(s for s in SEQUENCE_ROUTES if s != "explicit")
-        )
-    return [cases.fm_explicit(spec, m, n) for n in range(1, N + 1)]
-
-
-def _formula(spec: CaseSpec, m: int, N: int) -> Triangle:
-    if not cases.triangle_formula_available(spec, m):
-        raise ValueError(
-            f"no closed form for case {spec.case_id} triangle at m={m}; "
-            "available sources: "
-            + ", ".join(s for s in TRIANGLE_ROUTES if s != "formula")
-        )
-    return Triangle(
-        [
-            [cases.triangle_formula_value(spec, m, n, k) for k in range(1, n + 1)]
-            for n in range(1, N + 1)
-        ]
-    )
-
-
 # name -> (spec, m, N) -> f_m(1..N); every route gives the same integers
 SEQUENCE_ROUTES = {
     "recurrence": _recurrence,
     "invert": lambda spec, m, N: list(invert_power(cases.f0_prefix(spec, N), m)),
-    "explicit": _explicit,
+    "explicit": lambda spec, m, N: [
+        cases.fm_explicit(spec, m, n) for n in range(1, N + 1)
+    ],
     "automaton": lambda spec, m, N: words.automaton_counts(spec, m, N - 1),
 }
 # name -> (spec, m, N) -> the triangle c_m(n,k), 1 <= k <= n <= N
@@ -81,32 +61,52 @@ TRIANGLE_ROUTES = {
     "convolution": lambda spec, m, N: composition_triangle(
         invert_power(cases.f0_prefix(spec, N), m - 1)
     ),
-    "formula": _formula,
+    "formula": lambda spec, m, N: Triangle(
+        [
+            [cases.triangle_formula_value(spec, m, n, k) for k in range(1, n + 1)]
+            for n in range(1, N + 1)
+        ]
+    ),
     "eq3": lambda spec, m, N: lift_triangle(
         composition_triangle(cases.f0_prefix(spec, N)), m
     ),
 }
+# closed-form route name -> (spec, m) -> whether it covers that point
+_COVERAGE = {
+    "explicit": cases.fm_formula_available,
+    "formula": cases.triangle_formula_available,
+}
+
+
+def _from_route(routes: dict, kind: str, spec: CaseSpec, m: int, N: int, source: str):
+    # the one home of both tables' checks, in this order
+    if source not in routes:
+        raise ValueError(
+            f"unknown {kind} source {source!r}; choose from " + ", ".join(routes)
+        )
+    if kind == "triangle" and m < 1:
+        raise ValueError("triangles need --m >= 1")
+    if N < 1:
+        raise ValueError("--n must be >= 1")
+    covers = _COVERAGE.get(source)
+    if covers and not covers(spec, m):
+        what = " triangle" if kind == "triangle" else ""
+        raise ValueError(
+            f"no closed form for case {spec.case_id}{what} at m={m}; "
+            "available sources: " + ", ".join(s for s in routes if s != source)
+        )
+    return routes[source](spec, m, N)
 
 
 def sequence_values(spec: CaseSpec, m: int, N: int, source: str) -> list[int]:
     """f_m(1..N) from one of the sequence routes; identical across them."""
-    if N < 1:
-        raise ValueError("--n must be >= 1")
-    if source not in SEQUENCE_ROUTES:
-        raise ValueError(f"unknown source {source!r}")
-    return SEQUENCE_ROUTES[source](spec, m, N)
+    return _from_route(SEQUENCE_ROUTES, "sequence", spec, m, N, source)
 
 
 def triangle_rows(spec: CaseSpec, m: int, N: int, source: str) -> Triangle:
     """The level-m triangle c_m(n,k), 1 <= k <= n <= N, from one of the
     triangle routes."""
-    if m < 1:
-        raise ValueError("triangles need --m >= 1")
-    if N < 1:
-        raise ValueError("--n must be >= 1")
-    if source not in TRIANGLE_ROUTES:
-        raise ValueError(f"unknown source {source!r}")
-    return TRIANGLE_ROUTES[source](spec, m, N)
+    return _from_route(TRIANGLE_ROUTES, "triangle", spec, m, N, source)
 
 
 def grid_levels(spec: CaseSpec) -> tuple[int, ...]:
@@ -246,10 +246,10 @@ def cross_check(
         rows.append(
             ("repunit-specialization-vs-field-form", "n,k", repunit, explicit_c1)
         )
-    if not (spec.case_id == 1 and m == 0):
+    if _COVERAGE["explicit"](spec, m):
         explicit = sequence_values(spec, m, triangle_n, "explicit")
         rows.append(("explicit-fm-vs-recurrence", "n", explicit, fm))
-    if cases.triangle_formula_available(spec, m):
+    if _COVERAGE["formula"](spec, m):
         formula = triangle_rows(spec, m, triangle_n, "formula").rows
         rows.append(("explicit-triangle-vs-lift", "n,k", formula, cm.rows))
     comparisons = tuple(

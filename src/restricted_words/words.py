@@ -10,11 +10,12 @@ Three independent routes to the same numbers:
   power of the alphabet size that fits one block; the tail columns are
   built once with ``np.repeat``/``np.tile`` and every prefix in
   lexicographic order reuses them.  The constraint is applied with
-  vectorized scans over contiguous letter columns; for the run-length
-  families 2 and 5 the scan keeps each word's current run length in a
-  counter and checks every run as it closes.  Refuses to enumerate
-  more than ``budget`` words; optional process-level parallelism
-  partitions by first letter.
+  vectorized scans over contiguous letter columns; families 1, 3 and 4
+  test each pair of adjacent letters against one forbidden-pair rule,
+  and for the run-length families 2 and 5 the scan keeps each word's
+  current run length in a counter and checks every run as it closes.
+  Refuses to enumerate more than ``budget`` words; optional
+  process-level parallelism partitions by first letter.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).  The DP reaches every shorter
@@ -139,11 +140,13 @@ def _enumerable_alphabet(
 def iter_words(
     spec: CaseSpec, m: int, length: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """All valid words of the given length, in lexicographic order."""
+    """All valid words of the given length, in lexicographic order.
+
+    The arguments and the budget are checked on the call, before the
+    first word is asked for."""
     s = _enumerable_alphabet(spec, m, length, budget)
-    for word in itertools.product(range(s), repeat=length):
-        if is_valid(spec, m, word):
-            yield word
+    every = itertools.product(range(s), repeat=length)
+    return (word for word in every if is_valid(spec, m, word))
 
 
 def max_enumerable_length(
@@ -169,37 +172,32 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
     a = spec.base_alphabet
     cid = spec.case_id
     n_rows, length = block.shape
-    if cid == 1:
-        ok = np.ones(n_rows, dtype=bool)
-        for i in range(length - 1):
-            ok &= ~((block[:, i] == block[:, i + 1]) & (block[:, i] < a))
-        return ok
-    if cid == 3:
-        b = spec.b
-        ok = np.ones(n_rows, dtype=bool)
-        for i in range(length - 1):
-            nxt = block[:, i + 1]
-            ok &= ~((block[:, i] == 0) & (nxt >= 1) & (nxt <= b))
-        return ok
-    if cid == 4:
-        # all constraints are local: runs of 1 have length 1, a 1 is
-        # followed by a 0, a 0 is preceded by a 0 or a 1-run start
-        ok = np.ones(n_rows, dtype=bool)
-        if length == 0:
-            return ok
-        ok &= block[:, 0] != 0
-        ok &= block[:, -1] != 1
-        for i in range(length - 1):
-            cur, nxt = block[:, i], block[:, i + 1]
-            ok &= ~((cur == 1) & (nxt != 0))
-            ok &= ~((cur > 1) & (nxt == 0))
-        return ok
-    # families 2 and 5: count the length of the current maximal run; where
-    # the letter changes, the run that just closed must be allowed
     ok = np.ones(n_rows, dtype=bool)
     if length == 0:
         return ok
+    if cid in (1, 3, 4):
+        # families 1, 3 and 4 forbid some pairs of adjacent letters
+        if cid == 1:
+            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+                return (cur == nxt) & (cur < a)
+        elif cid == 3:
+            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+                return (cur == 0) & (nxt >= 1) & (nxt <= spec.b)
+        else:
+            # runs of 1 have length 1, a 1 is followed by a 0, a 0 is
+            # preceded by a 0 or a 1-run start
+            ok &= block[:, 0] != 0
+            ok &= block[:, -1] != 1
 
+            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+                return ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
+
+        for i in range(length - 1):
+            ok &= ~bad(block[:, i], block[:, i + 1])
+        return ok
+
+    # families 2 and 5: count the length of the current maximal run; where
+    # the letter changes, the run that just closed must be allowed
     def run_ok(letters: np.ndarray, runs: np.ndarray) -> np.ndarray:
         if cid == 2:
             return (letters >= a) | _divisible(runs, 2)
@@ -317,9 +315,7 @@ def count_marked_exhaustive(
 ) -> int:
     """Number of valid words with exactly ``marks`` marked letters;
     equals the triangle cell c_m(length+1, marks+1)."""
-    _check_marked(m)
-    if marks < 0:
-        raise ValueError("marks must be >= 0")
+    _check_marks(m, marks)
     hist = marked_histogram(spec, m, length, budget=budget, jobs=jobs)
     return hist[marks] if marks <= length else 0
 
@@ -485,9 +481,11 @@ def _accepted(dfa: Dfa, occ: list) -> list:
     return [w for st, w in enumerate(occ) if dfa.accepting[st]]
 
 
-def _check_marked(m: int) -> None:
+def _check_marks(m: int, marks: int = 0) -> None:
     if m < 1:
         raise ValueError("marked counting needs m >= 1 (no marked letter exists)")
+    if marks < 0:
+        raise ValueError("marks must be >= 0")
 
 
 def count_automaton(
@@ -500,9 +498,7 @@ def count_automaton(
     dfa = build_dfa(spec, m)
     if marks is None:
         return sum(_accepted(dfa, _last(_occupancies(dfa, length))))
-    _check_marked(m)
-    if marks < 0:
-        raise ValueError("marks must be >= 0")
+    _check_marks(m, marks)
     if marks > length:
         return 0
     occ = _last(_marked_occupancies(dfa, length, marks))
@@ -523,7 +519,7 @@ def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]
     with 0..L marked letters, from one marked DP pass."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    _check_marked(m)
+    _check_marks(m)
     dfa = build_dfa(spec, m)
     return [
         [sum(col) for col in zip(*_accepted(dfa, occ))][: L + 1]

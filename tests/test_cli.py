@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -319,6 +320,23 @@ def test_words_list_rejects_zero_jobs(capsys):
         assert code == 2
         assert out == ""
         assert err == "error: jobs must be >= 1\n"
+
+
+def test_words_list_fails_like_the_count(capsys):
+    # the same checks in the same order, with or without --list
+    for m, length, marks, jobs, budget in itertools.product(
+        ("-1", "0", "1"), ("-1", "2", "40"), (None, "-1", "0"), (None, "0"),
+        (None, "0"),
+    ):
+        argv = ["words", "--case", "4", "--m", m, "--len", length]
+        for flag, value in (("--marks", marks), ("--jobs", jobs), ("--budget", budget)):
+            if value is not None:
+                argv += [flag, value]
+        code, _, err = run_cli(capsys, *argv)
+        listed, _, listed_err = run_cli(capsys, *argv, "--list")
+        assert listed == code, argv
+        if code == 2:
+            assert listed_err == err, argv
 
 
 def test_words_budget_refusal_exits_2(capsys):

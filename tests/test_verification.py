@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import pytest
-from conftest import GRID_POINTS, point_id
+from conftest import GRID_POINTS, GRID_SPECS, point_id, spec_id
 
 from restricted_words import cases, words
 from restricted_words.cases import CaseSpec
 from restricted_words.verification import (
+    SEQUENCE_ROUTES,
+    TRIANGLE_ROUTES,
     adjudicate_case1_leading_term,
     cross_check,
     default_grid,
+    sequence_values,
+    triangle_rows,
 )
+
+# closed-form route -> its coverage predicate; every other route covers all
+COVERAGE = {
+    "explicit": cases.fm_formula_available,
+    "formula": cases.triangle_formula_available,
+}
 
 
 def test_default_grid_shape():
@@ -137,6 +147,48 @@ def test_corrupted_explicit_route_is_caught(monkeypatch):
     assert [c.label for c in bad] == ["explicit-fm-vs-recurrence"]
     assert bad[0].witness["n"] == 4
     assert "explicit-fm-vs-recurrence: MISMATCH at n=4" in report.describe()
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+def test_routes_give_values_exactly_where_covered(spec):
+    for routes, run, levels in (
+        (SEQUENCE_ROUTES, sequence_values, range(4)),
+        (TRIANGLE_ROUTES, triangle_rows, range(1, 4)),
+    ):
+        for m in levels:
+            for source in routes:
+                covered = source not in COVERAGE or COVERAGE[source](spec, m)
+                if covered:
+                    assert run(spec, m, 5, source), (source, m)
+                else:
+                    with pytest.raises(ValueError, match="no closed form"):
+                        run(spec, m, 5, source)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+def test_cross_check_runs_closed_forms_exactly_where_covered(spec):
+    for m in range(4):
+        labels = [c.label for c in cross_check(spec, m, 3, 4).comparisons]
+        for source, label in (
+            ("explicit", "explicit-fm-vs-recurrence"),
+            ("formula", "explicit-triangle-vs-lift"),
+        ):
+            assert (label in labels) == COVERAGE[source](spec, m), (source, m)
+
+
+def test_unknown_source_names_the_choices():
+    spec = CaseSpec(4)
+    with pytest.raises(ValueError) as seq:
+        sequence_values(spec, 0, 0, "bogus")
+    assert str(seq.value) == (
+        "unknown sequence source 'bogus'; "
+        "choose from recurrence, invert, explicit, automaton"
+    )
+    with pytest.raises(ValueError) as tri:
+        triangle_rows(spec, 0, 0, "recurrence")
+    assert str(tri.value) == (
+        "unknown triangle source 'recurrence'; choose from convolution, formula, eq3"
+    )
 
 
 def test_bad_arguments():

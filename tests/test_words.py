@@ -218,9 +218,13 @@ def _reference_histogram(spec, m, length):
     return hist
 
 
-RUN_POINTS = [
+# the run-length families 2 and 5 and the pair-rule families 1, 3 and 4
+MASK_POINTS = [
     (spec, m)
-    for spec in (CaseSpec(2, a=1), CaseSpec(2, a=2), CaseSpec(2, a=3), CaseSpec(5))
+    for spec in (
+        [CaseSpec(c, a=a) for c in (1, 2) for a in (1, 2, 3)]
+        + [CaseSpec(3, a=3, b=1), CaseSpec(3, a=4, b=2), CaseSpec(4), CaseSpec(5)]
+    )
     for m in range(4)
 ]
 
@@ -235,7 +239,7 @@ class TestRunLengthMask:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_predicate(self, data):
-        spec, m = data.draw(st.sampled_from(RUN_POINTS))
+        spec, m = data.draw(st.sampled_from(MASK_POINTS))
         s = spec.alphabet_size(m)
         length = data.draw(st.integers(min_value=0, max_value=40))
         word = st.lists(
@@ -355,6 +359,13 @@ class TestIterWords:
     def test_budget_applies(self):
         with pytest.raises(BudgetExceeded):
             list(iter_words(CaseSpec(4), 0, 40, budget=100))
+
+    def test_checks_on_the_call(self):
+        # no word is asked for: the call itself must raise
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            iter_words(CaseSpec(4), 0, -1)
+        with pytest.raises(BudgetExceeded):
+            iter_words(CaseSpec(4), 1, 2, budget=0)
 
 
 class TestDfa:
