@@ -59,6 +59,7 @@ from .words import (
     is_valid,
     iter_words,
     marked_histogram,
+    marked_histograms,
     max_enumerable_length,
 )
 
@@ -105,6 +106,7 @@ __all__ = [
     "iter_words",
     "lift_triangle",
     "marked_histogram",
+    "marked_histograms",
     "max_enumerable_length",
     "row_sums",
     "triangle_formula_available",

@@ -147,6 +147,8 @@ class CrossCheckReport:
     spec: CaseSpec
     m: int
     comparisons: tuple[Comparison, ...]
+    # the longest word length enumerated: max_len unless the budget stops it
+    enumerated_to: int
 
     @property
     def ok(self) -> bool:
@@ -208,11 +210,8 @@ def cross_check(
     N = max(triangle_n, max_len + 2, spec.seed_count)
     fm = sequence_values(spec, m, N, "recurrence")
     enum_len = min(max_len, words.max_enumerable_length(spec, m, budget))
-    # one enumeration per length serves both the plain and the marked checks
-    hists = [
-        words.marked_histogram(spec, m, L, budget=budget)
-        for L in range(enum_len + 1)
-    ]
+    # one enumeration serves every length, plain and marked checks alike
+    hists = words.marked_histograms(spec, m, enum_len, budget=budget)
     # one DP pass serves both plain automaton comparisons; fm reaches
     # index max_len + 1 because N >= max_len + 2
     counts = sequence_values(spec, m, max_len + 1, "automaton")
@@ -256,7 +255,7 @@ def cross_check(
         _compare(label, keys, _aligned(keys, lhs, rhs))
         for label, keys, lhs, rhs in rows
     )
-    return CrossCheckReport(spec, m, comparisons)
+    return CrossCheckReport(spec, m, comparisons, enum_len)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,19 @@ Three independent routes to the same numbers:
   each family's constraint (maximal-run semantics spelled out).
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
   given length in blocks.  A block fixes a leading prefix of letters and
-  runs through every tail of ``t`` letters, where ``s**t`` is the largest
-  power of the alphabet size that fits one block; the tail columns are
-  built once with ``np.repeat``/``np.tile`` and every prefix in
-  lexicographic order reuses them.  The constraint is applied with
-  vectorized scans over contiguous letter columns; families 1, 3 and 4
-  test each pair of adjacent letters against one forbidden-pair rule,
-  and for the run-length families 2 and 5 the scan keeps each word's
-  current run length in a counter and checks every run as it closes.
-  Refuses to enumerate more than ``budget`` words; optional
+  runs through every tail of ``t`` letters, ``s**t`` the largest power
+  of the alphabet size within 2^17 rows but ``t`` at least 1 (2^20-row
+  blocks overflow a 2 MB L2 cache: the grid took a third longer).  The
+  tail columns are built once with ``np.repeat``/``np.tile`` and every
+  prefix reuses them.  Vectorized scans over contiguous letter columns
+  apply the constraint: families 1, 3 and 4 test each pair of adjacent
+  letters against one forbidden-pair rule, and for the run-length
+  families 2 and 5 the scan counts each word's current run and checks
+  every run as it closes.  ``marked_histograms`` reads every shorter
+  length off the same scan: a word of length l is its row padded with
+  0s, valid when the running mask after l columns and that length's
+  closing check (family 4's last letter, the open run of families 2 and
+  5) pass.  Refuses to enumerate more than ``budget`` words; optional
   process-level parallelism partitions by first letter.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
@@ -40,7 +44,8 @@ import itertools
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .cases import CaseSpec
 
@@ -49,7 +54,7 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 2_000_000
 
-_CHUNK_ROWS = 1 << 20
+_CHUNK_ROWS = 1 << 17
 
 
 class BudgetExceeded(RuntimeError):
@@ -166,15 +171,19 @@ def max_enumerable_length(
     return length
 
 
-def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
+def _prefix_masks(spec: CaseSpec, m: int, block: np.ndarray) -> Iterator[Callable]:
+    # one scan over the block's columns: after l = 0, 1, ..., L of them it
+    # yields read(stride), the validity of the first l letters of every
+    # stride-th row, copied off the running arrays before the scan moves on
     import numpy as np
 
     a = spec.base_alphabet
     cid = spec.case_id
     n_rows, length = block.shape
     ok = np.ones(n_rows, dtype=bool)
+    yield lambda stride: ok[::stride].copy()
     if length == 0:
-        return ok
+        return
     if cid in (1, 3, 4):
         # families 1, 3 and 4 forbid some pairs of adjacent letters
         if cid == 1:
@@ -187,14 +196,20 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
             # runs of 1 have length 1, a 1 is followed by a 0, a 0 is
             # preceded by a 0 or a 1-run start
             ok &= block[:, 0] != 0
-            ok &= block[:, -1] != 1
 
             def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
                 return ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
 
-        for i in range(length - 1):
-            ok &= ~bad(block[:, i], block[:, i + 1])
-        return ok
+        def read(stride: int) -> np.ndarray:
+            # a family-4 word cannot end on the 1 that owes a 0
+            last_ok = block[::stride, l - 1] != 1 if cid == 4 else True
+            return ok[::stride] & last_ok
+
+        for l in range(1, length + 1):
+            if l > 1:
+                ok &= ~bad(block[:, l - 2], block[:, l - 1])
+            yield read
+        return
 
     # families 2 and 5: count the length of the current maximal run; where
     # the letter changes, the run that just closed must be allowed
@@ -209,6 +224,12 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
     run = np.ones(n_rows, dtype=np.min_scalar_type(length))
     same = np.empty(n_rows, dtype=bool)
     prev = block[:, 0]
+
+    def read(stride: int) -> np.ndarray:
+        # the run still open after the last letter must be allowed too
+        return ok[::stride] & run_ok(prev[::stride], run[::stride])
+
+    yield read
     for i in range(1, length):
         col = block[:, i]
         np.equal(col, prev, out=same)
@@ -216,8 +237,12 @@ def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
         run *= same
         run += 1
         prev = col
-    ok &= run_ok(prev, run)
-    return ok
+        yield read
+
+
+def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
+    # the validity of every whole row: the scan's last read
+    return _last(_prefix_masks(spec, m, block))(1)
 
 
 def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
@@ -227,21 +252,21 @@ def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
 
 
 def _histogram_block(
-    spec: CaseSpec, m: int, length: int, first: int | None
-) -> list[int]:
-    # counts of valid words by number of marked letters, over all words
-    # (optionally fixed first letter)
+    spec: CaseSpec, m: int, length: int, shortest: int, first: int | None = None
+) -> list[list[int]]:
+    # counts of valid words by number of marked letters at each length l in
+    # shortest..length, from all words of the given length (optionally with
+    # a fixed first letter); a word of length l is its row padded with 0s:
+    # every s**(length - l)-th row of blocks fixing only 0s from l on
     import numpy as np
 
     s = spec.alphabet_size(m)
     marked = s - 1
-    hist = np.zeros(length + 1, dtype=np.int64)
-    if length == 0:
-        hist[0] = 1
-        return hist.tolist()
     lead = [] if first is None else [first]
     free = length - len(lead)
-    tail = 0
+    # at least one letter column, so no block is a single word however
+    # large the alphabet
+    tail = min(free, 1)
     while tail < free and s ** (tail + 1) <= _CHUNK_ROWS:
         tail += 1
     # letters take the smallest signed type that holds 0..s-1; one row per
@@ -252,17 +277,27 @@ def _histogram_block(
     for i, row in enumerate(cols[length - tail :]):
         row[:] = np.tile(np.repeat(letters, s ** (tail - 1 - i)), s**i)
         tail_marks += row == marked
+    # row l - shortest counts words of length l by their rows' marks
+    hists = np.zeros((length + 1 - shortest, length + 1), dtype=np.int64)
     for prefix in itertools.product(range(s), repeat=free - tail):
         fixed = (*lead, *prefix)
         for row, letter in zip(cols, fixed):
             row.fill(letter)
-        mask = _valid_mask(spec, m, cols.T)
-        # a word's marks are its fixed prefix's plus its tail's
+        # the fixed letters from position `zeros` on are all 0
+        zeros = max((i + 1 for i, x in enumerate(fixed) if x), default=0)
+        # a row's marks are its fixed prefix's plus its tail's
         shift = fixed.count(marked)
-        hist[shift : shift + tail + 1] += np.bincount(
-            tail_marks[mask], minlength=tail + 1
-        )
-    return hist.tolist()
+        for l, read in enumerate(_prefix_masks(spec, m, cols.T)):
+            if l >= max(shortest, zeros):
+                step = s ** (length - l)
+                hists[l - shortest, shift : shift + tail + 1] += np.bincount(
+                    tail_marks[::step][read(step)], minlength=tail + 1
+                )
+    # the 0s padding a shorter word are marks only on a one-letter alphabet
+    return [
+        hist[(length - l) * (marked == 0) :][: l + 1].tolist()
+        for l, hist in enumerate(hists, shortest)
+    ]
 
 
 def marked_histogram(
@@ -280,18 +315,23 @@ def marked_histogram(
     s = _enumerable_alphabet(spec, m, length, budget, jobs)
     workers = min(jobs, s, os.cpu_count() or 1)
     if workers == 1 or length == 0:
-        return _histogram_block(spec, m, length, None)
+        return _histogram_block(spec, m, length, length)[0]
     from concurrent.futures import ProcessPoolExecutor
 
-    hist = [0] * (length + 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _histogram_block, *zip(*[(spec, m, length, first) for first in range(s)])
-        )
-        for part in parts:
-            for i, v in enumerate(part):
-                hist[i] += v
-    return hist
+        parts = pool.map(partial(_histogram_block, spec, m, length, length), range(s))
+        return [sum(col) for col in zip(*(part for (part,) in parts))]
+
+
+def marked_histograms(
+    spec: CaseSpec, m: int, length: int, budget: int = DEFAULT_BUDGET
+) -> list[list[int]]:
+    """For every length L in 0..``length``, the L+1 numbers of valid words
+    with 0..L marked letters, as ``marked_histogram`` gives them, from one
+    enumeration of the words of the given length: each shorter word is
+    read off the scan at its row padded with 0s."""
+    _enumerable_alphabet(spec, m, length, budget)
+    return _histogram_block(spec, m, length, 0)
 
 
 def count_exhaustive(

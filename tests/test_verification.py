@@ -14,6 +14,7 @@ from restricted_words.verification import (
     sequence_values,
     triangle_rows,
 )
+from restricted_words.words import DEFAULT_BUDGET
 
 # closed-form route -> its coverage predicate; every other route covers all
 COVERAGE = {
@@ -74,12 +75,32 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_one_enumeration_per_length(monkeypatch):
-    calls = _count_calls(monkeypatch, "marked_histogram", "count_exhaustive")
-    max_len = 5
-    report = cross_check(CaseSpec(2, a=1), 1, max_len=max_len, triangle_n=6)
-    assert calls == {"marked_histogram": max_len + 1, "count_exhaustive": 0}
+def test_one_enumeration_per_point(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, "marked_histograms", "marked_histogram", "count_exhaustive"
+    )
+    report = cross_check(CaseSpec(2, a=1), 1, max_len=5, triangle_n=6)
+    assert calls == {
+        "marked_histograms": 1,
+        "marked_histogram": 0,
+        "count_exhaustive": 0,
+    }
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("budget, reached", [(DEFAULT_BUDGET, 7), (300, 5)])
+def test_report_names_the_length_enumerated(budget, reached):
+    # family 4 at m = 1 has three letters: 3**5 words fit a budget of 300
+    spec, m = CaseSpec(4), 1
+    report = cross_check(spec, m, max_len=7, triangle_n=9, budget=budget)
+    assert report.enumerated_to == reached
+    checked = {c.label: c.checked for c in report.comparisons}
+    assert checked["exhaustive-vs-automaton"] == reached + 1
+    # the text is unchanged: a header, then one agreeing line per comparison
+    lines = report.describe().splitlines()
+    assert lines[0] == "cross-check: case 4, m=1"
+    assert len(lines) == 1 + len(report.comparisons)
+    assert all(": agree (" in line for line in lines[1:])
 
 
 def test_one_automaton_pass_per_sequence(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from restricted_words.words import (
     is_valid,
     iter_words,
     marked_histogram,
+    marked_histograms,
     max_enumerable_length,
 )
 
@@ -230,7 +232,7 @@ MASK_POINTS = [
 
 
 def _mask_of(spec, m, rows):
-    # the dtype and column layout _histogram_block hands to _valid_mask
+    # the dtype and column layout _histogram_block hands to the mask scan
     block = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
     return words._valid_mask(spec, m, np.ascontiguousarray(block.T).T).tolist()
 
@@ -274,7 +276,7 @@ class TestEnumerationBlocks:
     @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
     def test_many_blocks_match_reference(self, point, monkeypatch):
         # four-row blocks: most lengths span many fixed-prefix blocks, and
-        # alphabets of five or more letters get one-word blocks
+        # alphabets of five or more letters get blocks of one letter column
         monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
         spec, m = point
         for length in range(max_enumerable_length(spec, m, budget=1500) + 1):
@@ -289,12 +291,71 @@ class TestEnumerationBlocks:
             s = spec.alphabet_size(m)
             for length in range(1, 5):
                 parts = [
-                    words._histogram_block(spec, m, length, first)
+                    words._histogram_block(spec, m, length, length, first)[0]
                     for first in range(s)
                 ]
                 assert [sum(col) for col in zip(*parts)] == words._histogram_block(
-                    spec, m, length, None
-                ), (spec, m, length)
+                    spec, m, length, length
+                )[0], (spec, m, length)
+
+    def test_alphabet_larger_than_a_block(self):
+        # 1,248,579 letters: the block holds one letter column of them all,
+        # not one word each
+        spec, m = CaseSpec(4), 1_248_576
+        start = time.perf_counter()
+        hist = marked_histogram(spec, m, 1)
+        assert time.perf_counter() - start < 2
+        # a word of one letter is valid unless it is 0 or 1
+        assert hist == [spec.alphabet_size(m) - 3, 1]
+
+
+class TestEveryLengthFromOneEnumeration:
+    @staticmethod
+    def _assert_per_length(spec, m, length, budget=DEFAULT_BUDGET):
+        hists = marked_histograms(spec, m, length, budget)
+        assert hists == [
+            marked_histogram(spec, m, l, budget) for l in range(length + 1)
+        ], (spec, m, length)
+
+    @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
+    def test_grid_points(self, point):
+        spec, m = point
+        self._assert_per_length(spec, m, min(8, max_enumerable_length(spec, m)))
+
+    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
+    def test_four_row_blocks(self, point, monkeypatch):
+        monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
+        spec, m = point
+        self._assert_per_length(spec, m, max_enumerable_length(spec, m, budget=1500))
+
+    def test_many_real_blocks(self):
+        # 5**9 words make 25 blocks of 5**7 rows
+        assert words._CHUNK_ROWS < 5**9
+        self._assert_per_length(CaseSpec(5), 3, 9, budget=10**7)
+
+    def test_one_letter_alphabet(self):
+        # the single letter pads shorter words and is also the top letter
+        self._assert_per_length(CaseSpec(1, a=1), 0, 12)
+        hists = marked_histograms(CaseSpec(1, a=1), 0, 3)
+        assert hists == [[1], [0, 1], [0, 0, 0], [0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
+    def test_length_zero(self, point):
+        spec, m = point
+        assert marked_histograms(spec, m, 0) == [[1]]
+
+    @pytest.mark.parametrize(
+        "length, budget",
+        [(-1, DEFAULT_BUDGET), (30, 1000), (65, DEFAULT_BUDGET), (2, 0)],
+    )
+    def test_errors_match_top_length(self, length, budget):
+        spec, m = CaseSpec(1, a=3), 0
+        with pytest.raises((ValueError, BudgetExceeded)) as every:
+            marked_histograms(spec, m, length, budget)
+        with pytest.raises((ValueError, BudgetExceeded)) as one:
+            marked_histogram(spec, m, length, budget)
+        assert type(every.value) is type(one.value)
+        assert str(every.value) == str(one.value)
 
 
 class _InlinePool:
