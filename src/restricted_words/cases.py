@@ -21,8 +21,9 @@ enforce this cell by cell).
 Each family's recurrence is written once, as a table row of coefficients
 and seeds (``_recurrence``); ``fm_sequence`` iterates it at any m, and
 ``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 keep their
-closed-form f_0).  The closed forms for c_m(n,k) and f_m(n) lift one
-closed-form c_1 row through the single ``_lift`` sum.
+closed-form f_0).  The closed form for c_m(n,k) lifts one closed-form
+c_1 row through the single ``_lift`` sum; the one for f_m(n) weights
+that row by m^(i-1), the lift summed over k.
 
 Family 3's closed form sums powers of the reciprocal roots u, v of
 b*x^2 - a*x + 1.  Since u + v = a and u*v = b, the sum is an integer
@@ -283,10 +284,12 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
     """Closed form for f_m(n).
 
     Family 2 (m >= 0): sum over j of m^(n-2j-1) a^j C(n-1-j, j).
-    Families 1 (m >= 1) and 3-5 (m >= 0): the closed-form c_1 row
-    c_1(n, 1..n), lifted to level m and summed over k.  For family 1 the
-    lifted i = n terms sum to the leading m^(n-1); at m = 0 the lifted
-    sum collapses to the single cell c_1(n,1) = f_0(n).
+    Families 1 (m >= 1) and 3-5 (m >= 0): the closed-form c_1 row lifted
+    to level m and summed over k.  By the binomial theorem the lift's
+    weights (m-1)^(i-k) C(i-1,k-1) sum over k to m^(i-1), so this is
+    the single sum over i of m^(i-1) c_1(n,i).  For family 1 the i = n
+    term is the leading m^(n-1); at m = 0 the sum collapses to the
+    single cell c_1(n,1) = f_0(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,8 +304,7 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
         )
     if m == 0:
         return c1_explicit(spec, n, 1)
-    row = [c1_explicit(spec, n, i) for i in range(1, n + 1)]
-    return sum(_lift(row[k - 1 :], m, k) for k in range(1, n + 1))
+    return sum(m ** (i - 1) * c1_explicit(spec, n, i) for i in range(1, n + 1))
 
 
 def fm_formula_available(spec: CaseSpec, m: int) -> bool:

@@ -42,7 +42,6 @@ from .words import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     _check_marks,
-    _enumerable_alphabet,
     count_exhaustive,
     count_marked_exhaustive,
     iter_words,
@@ -130,13 +129,16 @@ def cmd_identity(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
+    # --jobs is accepted and checked but has no effect
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     spec = _spec_from(args)
     s = spec.alphabet_size(args.m)
     if args.list:
-        # the count's checks, in the count's order, before the first word
+        # the count's checks, in the count's order, before the first word;
+        # iter_words makes the rest on the call
         if args.marks is not None:
             _check_marks(args.m, args.marks)
-        _enumerable_alphabet(spec, args.m, args.len, args.budget, args.jobs)
         for word in iter_words(spec, args.m, args.len, budget=args.budget):
             if args.marks is not None and word.count(s - 1) != args.marks:
                 continue
@@ -147,12 +149,10 @@ def cmd_words(args: argparse.Namespace) -> int:
         return 0
     if args.marks is not None:
         count = count_marked_exhaustive(
-            spec, args.m, args.len, args.marks, budget=args.budget, jobs=args.jobs
+            spec, args.m, args.len, args.marks, budget=args.budget
         )
     else:
-        count = count_exhaustive(
-            spec, args.m, args.len, budget=args.budget, jobs=args.jobs
-        )
+        count = count_exhaustive(spec, args.m, args.len, budget=args.budget)
     print(count)
     return 0
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the words themselves")
     _add_budget_argument(p)
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for enumeration"
+        "--jobs", type=int, default=1, help="no effect; enumeration runs in one process"
     )
     p.set_defaults(func=cmd_words)
 

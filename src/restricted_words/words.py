@@ -18,8 +18,8 @@ Three independent routes to the same numbers:
   length off the same scan: a word of length l is its row padded with
   0s, valid when the running mask after l columns and that length's
   closing check (family 4's last letter, the open run of families 2 and
-  5) pass.  Refuses to enumerate more than ``budget`` words; optional
-  process-level parallelism partitions by first letter.
+  5) pass.  Refuses to enumerate more than ``budget`` words, charging a
+  one-letter alphabet as two letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).  The DP reaches every shorter
@@ -28,9 +28,9 @@ Three independent routes to the same numbers:
   lengths 0..N) read a whole sequence or triangle off one pass instead
   of recounting each prefix.
 
-numpy and the process pool are imported by the first enumeration, not
-with this module, so importing the package (and every CLI call that
-enumerates nothing) starts without them.
+numpy is imported by the first enumeration, not with this module, so
+importing the package (and every CLI call that enumerates nothing)
+starts without it.
 
 f_m(n) counts valid words of length n-1, so counts at word length L line
 up with sequence index L+1.  The marked letter is always the largest
@@ -41,10 +41,8 @@ k-1 marks at length L corresponds to the triangle cell c_m(L+1, k).
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .cases import CaseSpec
@@ -60,15 +58,15 @@ _CHUNK_ROWS = 1 << 17
 class BudgetExceeded(RuntimeError):
     """Raised instead of silently truncating an over-budget enumeration.
 
-    ``required`` is the exact number ``s**length`` of words the
-    enumeration would touch, or None where it was not computed: for
-    words longer than 64 letters over two or more letters, when the
-    budget has fewer bits than the word has letters, so the count is
-    certainly over it.  ``count`` is how the message writes the number
-    of words: ``required`` in decimal up to 64 letters, else ``s**length``."""
+    ``required`` is the number of words the enumeration is charged for,
+    ``s**length`` with a one-letter alphabet charged as two letters, or
+    None where it was not computed: for words longer than 64 letters,
+    when the budget has fewer bits than the word has letters, so the
+    charge is certainly over it.  ``words`` is how the message names
+    what would be enumerated."""
 
-    def __init__(self, required: int | None, budget: int, count: str) -> None:
-        super().__init__(f"enumerating {count} words exceeds the budget of {budget}")
+    def __init__(self, required: int | None, budget: int, words: str) -> None:
+        super().__init__(f"enumerating {words} exceeds the budget of {budget}")
         self.required = required
         self.budget = budget
 
@@ -122,23 +120,31 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     return True
 
 
-def _enumerable_alphabet(
-    spec: CaseSpec, m: int, length: int, budget: int, jobs: int = 1
-) -> int:
-    # the alphabet size, once the arguments are valid and all s**length
-    # words of the given length fit the budget
+def _charged_letters(s: int) -> int:
+    # a one-letter alphabet has one word per length but costs a step per
+    # letter, so it is charged as two letters: the budget bounds its length
+    return max(s, 2)
+
+
+def _enumerable_alphabet(spec: CaseSpec, m: int, length: int, budget: int) -> int:
+    # the alphabet size, once the arguments are valid and the charge for
+    # the words of the given length fits the budget
     if length < 0:
         raise ValueError("length must be >= 0")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     s = spec.alphabet_size(m)
-    # at least 2**length words, so certainly over a budget of fewer bits;
-    # the count is then formed only when short enough to print
-    over = s >= 2 and length > budget.bit_length()
-    required = None if over and length > 64 else s**length
+    charged = _charged_letters(s)
+    # at least 2**length, so certainly over a budget of fewer bits; the
+    # charge is then formed only when short enough to print
+    over = length > budget.bit_length()
+    required = None if over and length > 64 else charged**length
     if over or required > budget:
-        count = str(required) if length <= 64 else f"{s}**{length}"
-        raise BudgetExceeded(required, budget, count)
+        count = str(required) if length <= 64 else f"{charged}**{length}"
+        words = (
+            f"{count} words"
+            if s > 1
+            else f"the one word of length {length}, charged as {count} words,"
+        )
+        raise BudgetExceeded(required, budget, words)
     return s
 
 
@@ -159,12 +165,12 @@ def max_enumerable_length(
 ) -> int:
     """Largest length whose full enumeration fits the budget.
 
-    A one-letter alphabet has a single word per length; the cap 2^L <=
-    budget is applied there so scans still terminate.
+    A one-letter alphabet has a single word per length but is charged
+    as two letters, so the cap there is 2^L <= budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    s = max(spec.alphabet_size(m), 2)
+    s = _charged_letters(spec.alphabet_size(m))
     length = 0
     while s ** (length + 1) <= budget:
         length += 1
@@ -252,22 +258,20 @@ def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
 
 
 def _histogram_block(
-    spec: CaseSpec, m: int, length: int, shortest: int, first: int | None = None
+    spec: CaseSpec, m: int, length: int, shortest: int
 ) -> list[list[int]]:
     # counts of valid words by number of marked letters at each length l in
-    # shortest..length, from all words of the given length (optionally with
-    # a fixed first letter); a word of length l is its row padded with 0s:
-    # every s**(length - l)-th row of blocks fixing only 0s from l on
+    # shortest..length, from all words of the given length; a word of
+    # length l is its row padded with 0s: every s**(length - l)-th row of
+    # blocks fixing only 0s from l on
     import numpy as np
 
     s = spec.alphabet_size(m)
     marked = s - 1
-    lead = [] if first is None else [first]
-    free = length - len(lead)
     # at least one letter column, so no block is a single word however
     # large the alphabet
-    tail = min(free, 1)
-    while tail < free and s ** (tail + 1) <= _CHUNK_ROWS:
+    tail = min(length, 1)
+    while tail < length and s ** (tail + 1) <= _CHUNK_ROWS:
         tail += 1
     # letters take the smallest signed type that holds 0..s-1; one row per
     # letter position, so each column of the word block is contiguous
@@ -279,8 +283,7 @@ def _histogram_block(
         tail_marks += row == marked
     # row l - shortest counts words of length l by their rows' marks
     hists = np.zeros((length + 1 - shortest, length + 1), dtype=np.int64)
-    for prefix in itertools.product(range(s), repeat=free - tail):
-        fixed = (*lead, *prefix)
+    for fixed in itertools.product(range(s), repeat=length - tail):
         for row, letter in zip(cols, fixed):
             row.fill(letter)
         # the fixed letters from position `zeros` on are all 0
@@ -301,26 +304,12 @@ def _histogram_block(
 
 
 def marked_histogram(
-    spec: CaseSpec,
-    m: int,
-    length: int,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    spec: CaseSpec, m: int, length: int, budget: int = DEFAULT_BUDGET
 ) -> list[int]:
     """Counts of valid words of the given length, bucketed by how many
-    times the marked letter (the alphabet maximum) occurs.
-
-    With ``jobs > 1`` the words are split by first letter over a pool of
-    at most ``min(jobs, s, os.cpu_count())`` worker processes."""
-    s = _enumerable_alphabet(spec, m, length, budget, jobs)
-    workers = min(jobs, s, os.cpu_count() or 1)
-    if workers == 1 or length == 0:
-        return _histogram_block(spec, m, length, length)[0]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(partial(_histogram_block, spec, m, length, length), range(s))
-        return [sum(col) for col in zip(*(part for (part,) in parts))]
+    times the marked letter (the alphabet maximum) occurs."""
+    _enumerable_alphabet(spec, m, length, budget)
+    return _histogram_block(spec, m, length, length)[0]
 
 
 def marked_histograms(
@@ -335,28 +324,19 @@ def marked_histograms(
 
 
 def count_exhaustive(
-    spec: CaseSpec,
-    m: int,
-    length: int,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    spec: CaseSpec, m: int, length: int, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of valid words of the given length, by enumeration."""
-    return sum(marked_histogram(spec, m, length, budget=budget, jobs=jobs))
+    return sum(marked_histogram(spec, m, length, budget=budget))
 
 
 def count_marked_exhaustive(
-    spec: CaseSpec,
-    m: int,
-    length: int,
-    marks: int,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    spec: CaseSpec, m: int, length: int, marks: int, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Number of valid words with exactly ``marks`` marked letters;
     equals the triangle cell c_m(length+1, marks+1)."""
     _check_marks(m, marks)
-    hist = marked_histogram(spec, m, length, budget=budget, jobs=jobs)
+    hist = marked_histogram(spec, m, length, budget=budget)
     return hist[marks] if marks <= length else 0
 
 

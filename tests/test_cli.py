@@ -322,6 +322,15 @@ def test_words_list_rejects_zero_jobs(capsys):
         assert err == "error: jobs must be >= 1\n"
 
 
+def test_words_jobs_changes_no_output(capsys):
+    # --jobs is checked but has no effect
+    argv = ["words", "--case", "5", "--m", "2", "--len", "5"]
+    for extra in ([], ["--marks", "2"], ["--list"]):
+        alone = run_cli(capsys, *argv, *extra)
+        assert alone[0] == 0 and alone[1]
+        assert run_cli(capsys, *argv, *extra, "--jobs", "2") == alone
+
+
 def test_words_list_fails_like_the_count(capsys):
     # the same checks in the same order, with or without --list
     for m, length, marks, jobs, budget in itertools.product(
@@ -356,6 +365,20 @@ def test_words_refuses_very_long_words_quickly(capsys, length, extra):
     result = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5
     err = f"error: enumerating 3**{length} words exceeds the budget of 2000000\n"
+    assert result == (2, "", err)
+
+
+@pytest.mark.parametrize("extra", [[], ["--list"]])
+def test_words_refuses_very_long_one_letter_words_quickly(capsys, extra):
+    # a one-letter alphabet is charged as two letters
+    start = time.perf_counter()
+    argv = ["words", "--case", "2", "--a", "1", "--len", "100000000", *extra]
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    err = (
+        "error: enumerating the one word of length 100000000, charged as "
+        "2**100000000 words, exceeds the budget of 2000000\n"
+    )
     assert result == (2, "", err)
 
 
@@ -547,8 +570,9 @@ print(json.dumps({"stages": stages, "counts": counts}))
 
 
 def test_cold_start_loads_no_numpy_or_process_pool():
-    # only brute enumeration needs numpy and the pool; every other command
-    # leaves them unimported, so a fresh CLI call starts without them
+    # only brute enumeration needs numpy, and nothing starts a process
+    # pool; every other command leaves numpy unimported, so a fresh CLI
+    # call starts without it
     src = str(Path(restricted_words.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
@@ -561,6 +585,6 @@ def test_cold_start_loads_no_numpy_or_process_pool():
     stages = report["stages"]
     for stage in ("import", "build_parser", "seq", "triangle", "identity", "export"):
         assert stages[stage] == [], stage
-    assert "numpy" in stages["words"]
+    assert stages["words"] == ["numpy"]
     expect = count_automaton(CaseSpec(5), 2, 7)
     assert report["counts"] == [f"{expect}\n"] * 2

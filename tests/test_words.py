@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 import time
 
 import numpy as np
@@ -154,9 +153,18 @@ class TestCountExhaustive:
             f"enumerating {count} words exceeds the budget of {budget}"
         )
 
-    def test_parallel_jobs_agree(self):
-        spec, m = CaseSpec(5), 2
-        assert count_exhaustive(spec, m, 7, jobs=2) == count_exhaustive(spec, m, 7)
+    def test_one_letter_alphabet_charged_as_two_letters(self):
+        # one word per length, but enumerating it takes a step per letter
+        spec = CaseSpec(2, a=1)
+        assert count_exhaustive(spec, 0, 20) == 1
+        for enumerate_words in (count_exhaustive, iter_words):
+            with pytest.raises(BudgetExceeded) as exc:
+                enumerate_words(spec, 0, 21)
+            assert exc.value.required == 2**21
+            assert str(exc.value) == (
+                "enumerating the one word of length 21, charged as 2097152 "
+                "words, exceeds the budget of 2000000"
+            )
 
 
 class TestMarkedCounts:
@@ -284,20 +292,6 @@ class TestEnumerationBlocks:
                 spec, m, length
             ), (spec, m, length)
 
-    @pytest.mark.parametrize("chunk_rows", [4, words._CHUNK_ROWS])
-    def test_first_letter_split_sums_to_whole(self, chunk_rows, monkeypatch):
-        monkeypatch.setattr(words, "_CHUNK_ROWS", chunk_rows)
-        for spec, m in BLOCK_POINTS:
-            s = spec.alphabet_size(m)
-            for length in range(1, 5):
-                parts = [
-                    words._histogram_block(spec, m, length, length, first)[0]
-                    for first in range(s)
-                ]
-                assert [sum(col) for col in zip(*parts)] == words._histogram_block(
-                    spec, m, length, length
-                )[0], (spec, m, length)
-
     def test_alphabet_larger_than_a_block(self):
         # 1,248,579 letters: the block holds one letter column of them all,
         # not one word each
@@ -356,53 +350,6 @@ class TestEveryLengthFromOneEnumeration:
             marked_histogram(spec, m, length, budget)
         assert type(every.value) is type(one.value)
         assert str(every.value) == str(one.value)
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size and maps
-    in the calling process, so no worker starts."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        _InlinePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-class TestJobsCap:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
-        return _InlinePool.sizes
-
-    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        spec, m = CaseSpec(1, a=1), 300
-        hist = marked_histogram(spec, m, 2, jobs=500)
-        assert pool_sizes == [3]
-        assert hist == marked_histogram(spec, m, 2)
-
-    def test_pool_capped_at_alphabet(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        spec, m = CaseSpec(4), 1
-        hist = marked_histogram(spec, m, 6, jobs=8)
-        assert pool_sizes == [3]
-        assert hist == marked_histogram(spec, m, 6)
-
-    def test_one_worker_runs_in_process(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        spec, m = CaseSpec(5), 2
-        assert marked_histogram(spec, m, 5, jobs=4) == marked_histogram(spec, m, 5)
-        assert pool_sizes == []
 
 
 class TestIterWords:
