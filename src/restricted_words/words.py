@@ -5,21 +5,31 @@ Three independent routes to the same numbers:
 * ``is_valid``: a pure per-word predicate, the most literal reading of
   each family's constraint (maximal-run semantics spelled out).
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
-  given length in blocks.  A block fixes a leading prefix of letters and
-  runs through every tail of ``t`` letters, ``s**t`` the largest power
-  of the alphabet size within 2^17 rows but ``t`` at least 1 (2^20-row
-  blocks overflow a 2 MB L2 cache: the grid took a third longer).  The
-  tail columns are built once with ``np.repeat``/``np.tile`` and every
-  prefix reuses them.  Vectorized scans over contiguous letter columns
-  apply the constraint: families 1, 3 and 4 test each pair of adjacent
-  letters against one forbidden-pair rule, and for the run-length
-  families 2 and 5 the scan counts each word's current run and checks
-  every run as it closes.  ``marked_histograms`` reads every shorter
-  length off the same scan: a word of length l is its row padded with
-  0s, valid when the running mask after l columns and that length's
-  closing check (family 4's last letter, the open run of families 2 and
-  5) pass.  Refuses to enumerate more than ``budget`` words, charging a
-  one-letter alphabet as two letters.
+  given length as a head joined with a tail (the split-and-join of
+  Horowitz and Sahni).  One table holds every tail of ``t`` letters,
+  ``s**t`` the largest power of the alphabet size within 2^17 rows but
+  ``t`` at least 1 (2^20-row tables overflow a 2 MB L2 cache: the grid
+  took a third longer); another holds every head of the letters before
+  them.  One vectorized scan over contiguous letter columns, with the
+  words' end left open (and their start, for the tails), applies the
+  constraint to each table once: families 1, 3 and 4 test each pair of
+  adjacent letters against one forbidden-pair rule, and for the
+  run-length families 2 and 5 the scan counts each word's current run
+  and checks every run as it closes.  Closing an end adds the rules
+  there (family 4's first and last letter, a first or last run).  Each
+  valid head is joined with the whole tail table in one block mask, from
+  the head's last letter (and last run) and each tail's own features:
+  the same pair rule on the boundary pair, or the run across the
+  boundary checked as one run.  So every word gets its own validity bit
+  from its own letters, with no automaton and no mask shared between
+  heads.  The masks add into a counter per tail row and number of head
+  marks, and the tails' letters are folded in once per length.  A word
+  of at most ``t`` letters needs no head: it is read off the tail scan
+  at its row padded with 0s, so words that fit one table are counted by
+  one scan.  ``marked_histograms`` reads every shorter length off the
+  same two scans, a length above ``t`` as the joins of shorter heads.
+  Refuses to enumerate more than ``budget`` words, charging a one-letter
+  alphabet as two letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).  The DP reaches every shorter
@@ -43,7 +53,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .cases import CaseSpec
 
@@ -126,11 +136,17 @@ def _charged_letters(s: int) -> int:
     return max(s, 2)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def _enumerable_alphabet(spec: CaseSpec, m: int, length: int, budget: int) -> int:
     # the alphabet size, once the arguments are valid and the charge for
     # the words of the given length fits the budget
     if length < 0:
         raise ValueError("length must be >= 0")
+    _check_budget(budget)
     s = spec.alphabet_size(m)
     charged = _charged_letters(s)
     # at least 2**length, so certainly over a budget of fewer bits; the
@@ -168,8 +184,7 @@ def max_enumerable_length(
     A one-letter alphabet has a single word per length but is charged
     as two letters, so the cap there is 2^L <= budget.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_budget(budget)
     s = _charged_letters(spec.alphabet_size(m))
     length = 0
     while s ** (length + 1) <= budget:
@@ -177,78 +192,49 @@ def max_enumerable_length(
     return length
 
 
-def _prefix_masks(spec: CaseSpec, m: int, block: np.ndarray) -> Iterator[Callable]:
-    # one scan over the block's columns: after l = 0, 1, ..., L of them it
-    # yields read(stride), the validity of the first l letters of every
-    # stride-th row, copied off the running arrays before the scan moves on
-    import numpy as np
+class _Cut(NamedTuple):
+    # the first l letters of some rows, as the mask scan leaves them: ok
+    # where every rule checked so far holds, which leaves out the rules at
+    # an open end; the last letter, and the first where the start is open;
+    # for the run families 2 and 5 the length of the last run and, where
+    # the start is open, of the first run and whether it is the last
+    ok: np.ndarray
+    first: np.ndarray | None = None
+    last: np.ndarray | None = None
+    first_run: np.ndarray | None = None
+    run: np.ndarray | None = None
+    one_run: np.ndarray | None = None
 
+
+def _pair_rule(spec: CaseSpec) -> Callable | None:
+    # families 1, 3 and 4 forbid some pairs of adjacent letters: bad(cur,
+    # nxt) marks them; None for the run families
     a = spec.base_alphabet
     cid = spec.case_id
-    n_rows, length = block.shape
-    ok = np.ones(n_rows, dtype=bool)
-    yield lambda stride: ok[::stride].copy()
-    if length == 0:
-        return
-    if cid in (1, 3, 4):
-        # families 1, 3 and 4 forbid some pairs of adjacent letters
-        if cid == 1:
-            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-                return (cur == nxt) & (cur < a)
-        elif cid == 3:
-            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-                return (cur == 0) & (nxt >= 1) & (nxt <= spec.b)
-        else:
-            # runs of 1 have length 1, a 1 is followed by a 0, a 0 is
-            # preceded by a 0 or a 1-run start
-            ok &= block[:, 0] != 0
-
-            def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-                return ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
-
-        def read(stride: int) -> np.ndarray:
-            # a family-4 word cannot end on the 1 that owes a 0
-            last_ok = block[::stride, l - 1] != 1 if cid == 4 else True
-            return ok[::stride] & last_ok
-
-        for l in range(1, length + 1):
-            if l > 1:
-                ok &= ~bad(block[:, l - 2], block[:, l - 1])
-            yield read
-        return
-
-    # families 2 and 5: count the length of the current maximal run; where
-    # the letter changes, the run that just closed must be allowed
-    def run_ok(letters: np.ndarray, runs: np.ndarray) -> np.ndarray:
-        if cid == 2:
-            return (letters >= a) | _divisible(runs, 2)
-        return ((letters != 0) | _divisible(runs, 2)) & (
-            (letters != 1) | _divisible(runs, 3)
-        )
-
-    # a run is at most `length` letters long, so the counter never wraps
-    run = np.ones(n_rows, dtype=np.min_scalar_type(length))
-    same = np.empty(n_rows, dtype=bool)
-    prev = block[:, 0]
-
-    def read(stride: int) -> np.ndarray:
-        # the run still open after the last letter must be allowed too
-        return ok[::stride] & run_ok(prev[::stride], run[::stride])
-
-    yield read
-    for i in range(1, length):
-        col = block[:, i]
-        np.equal(col, prev, out=same)
-        ok &= same | run_ok(prev, run)
-        run *= same
-        run += 1
-        prev = col
-        yield read
+    if cid == 1:
+        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+            return (cur == nxt) & (cur < a)
+    elif cid == 3:
+        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+            return (cur == 0) & (nxt >= 1) & (nxt <= spec.b)
+    elif cid == 4:
+        # runs of 1 have length 1, a 1 is followed by a 0, a 0 is preceded
+        # by a 0 or a 1-run start
+        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+            return ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
+    else:
+        return None
+    return bad
 
 
-def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
-    # the validity of every whole row: the scan's last read
-    return _last(_prefix_masks(spec, m, block))(1)
+def _run_ok(spec: CaseSpec, letters: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    # families 2 and 5: whether closed runs of these letters and lengths
+    # are allowed
+    if spec.case_id == 2:
+        return (letters >= spec.base_alphabet) | _divisible(runs, 2)
+    return ((letters != 0) | _divisible(runs, 2)) & (
+        (letters != 1) | _divisible(runs, 3)
+    )
 
 
 def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
@@ -257,50 +243,222 @@ def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
     return runs // d * d == runs
 
 
-def _histogram_block(
+def _scan(spec: CaseSpec, block: np.ndarray, open_start: bool) -> Iterator[Callable]:
+    # one pass over the block's columns with every word's end left open, and
+    # its start too if open_start: after l = 0, 1, ..., L of them it yields
+    # cut(stride), the first l letters of every stride-th row as a _Cut of
+    # views into the running arrays, to be read before the scan moves on
+    import numpy as np
+
+    n_rows, length = block.shape
+    ok = np.ones(n_rows, dtype=bool)
+    yield lambda stride: _Cut(ok[::stride])
+    if length == 0:
+        return
+    first = block[:, 0] if open_start else None
+    bad = _pair_rule(spec)
+    if bad is not None:
+        if spec.case_id == 4 and not open_start:
+            # a family-4 word cannot start on a 0
+            ok &= block[:, 0] != 0
+
+        def cut(stride: int) -> _Cut:
+            return _Cut(ok[::stride], _rows(first, stride), block[::stride, l - 1])
+
+        for l in range(1, length + 1):
+            if l > 1:
+                ok &= ~bad(block[:, l - 2], block[:, l - 1])
+            yield cut
+        return
+
+    # families 2 and 5: count the length of the current maximal run; where
+    # the letter changes, the run that just closed must be allowed, unless
+    # it was the first and the start is open.  A run is at most `length`
+    # letters long, so the counters never wrap.
+    run = np.ones(n_rows, dtype=np.min_scalar_type(length))
+    first_run = run.copy() if open_start else None
+    one_run = ok.copy() if open_start else None
+    same = np.empty(n_rows, dtype=bool)
+    prev = block[:, 0]
+
+    def cut(stride: int) -> _Cut:
+        return _Cut(
+            ok[::stride],
+            _rows(first, stride),
+            prev[::stride],
+            _rows(first_run, stride),
+            run[::stride],
+            _rows(one_run, stride),
+        )
+
+    yield cut
+    for i in range(1, length):
+        col = block[:, i]
+        np.equal(col, prev, out=same)
+        if open_start:
+            ok &= same | one_run | _run_ok(spec, prev, run)
+            one_run &= same
+            first_run += one_run
+        else:
+            ok &= same | _run_ok(spec, prev, run)
+        run *= same
+        run += 1
+        prev = col
+        yield cut
+
+
+def _rows(column: np.ndarray | None, stride: int) -> np.ndarray | None:
+    return None if column is None else column[::stride]
+
+
+def _closed(
+    spec: CaseSpec, cut: _Cut, start: bool = True, end: bool = True
+) -> np.ndarray:
+    # the validity of the cut's words with the chosen ends closed, where the
+    # scan left them open; the rules at an open end are left to a join, and
+    # so is a run that reaches it
+    ok = cut.ok.copy()
+    if cut.last is None:
+        return ok
+    start_open = cut.first is not None
+    start = start and start_open
+    if cut.run is None:
+        # family 4 cannot start on a 0 or end on the 1 that owes a 0
+        if spec.case_id == 4:
+            if start:
+                ok &= cut.first != 0
+            if end:
+                ok &= cut.last != 1
+        return ok
+    if start:
+        first_ok = _run_ok(spec, cut.first, cut.first_run)
+        ok &= first_ok if end else first_ok | cut.one_run
+    if end:
+        last_ok = _run_ok(spec, cut.last, cut.run)
+        ok &= last_ok | cut.one_run if start_open and not start else last_ok
+    return ok
+
+
+def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
+    # the validity of every whole row: the scan's last cut, end closed
+    return _closed(spec, _last(_scan(spec, block, open_start=False))(1))
+
+
+def _joins(
+    spec: CaseSpec, heads: _Cut, tails: _Cut
+) -> Iterator[tuple[int, np.ndarray]]:
+    # for every head row valid with its end open, its index and the
+    # validity of the words made of it and each tail row: one block mask
+    # per head, from the head's last letter (and last run) filled into a
+    # column and the tail rows' own features.  The heads' scan closed their
+    # start, the tails' scan left it open.
+    import numpy as np
+
+    tail_ok = _closed(spec, tails, start=False)
+    valid = np.flatnonzero(_closed(spec, heads, end=False))
+    letter = np.empty_like(tails.first)
+    bad = _pair_rule(spec)
+    if bad is not None:
+        for i in valid:
+            # the same pair rule on the boundary pair
+            letter.fill(heads.last[i])
+            yield i, tail_ok & ~bad(letter, tails.first)
+        return
+    # where the letters match, the head's last run and the tail's first are
+    # one run across the boundary, checked as one; elsewhere each is
+    # checked alone
+    closes = _run_ok(spec, heads.last, heads.run)
+    # a run across the boundary may outgrow either side's counter
+    longest = int(heads.run.max()) + int(tails.first_run.max())
+    cross = np.empty(len(letter), dtype=np.min_scalar_type(longest))
+    same = np.empty(len(letter), dtype=bool)
+    for i in valid:
+        letter.fill(heads.last[i])
+        np.equal(letter, tails.first, out=same)
+        cross.fill(heads.run[i])
+        cross *= same
+        cross += tails.first_run
+        mask = tail_ok & _run_ok(spec, tails.first, cross)
+        if not closes[i]:
+            mask &= same
+        yield i, mask
+
+
+def _word_table(s: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    # all s**length words in lexicographic order, one row per letter
+    # position so that each column of a word block is contiguous, in the
+    # smallest signed type that holds 0..s-1; and each word's number of
+    # marked letters (s - 1)
+    import numpy as np
+
+    letters = np.arange(s, dtype=np.min_scalar_type(-s))
+    cols = np.empty((length, s**length), dtype=letters.dtype)
+    marks = np.zeros(s**length, dtype=np.min_scalar_type(length))
+    for i, row in enumerate(cols):
+        row[:] = np.tile(np.repeat(letters, s ** (length - 1 - i)), s**i)
+        marks += row == s - 1
+    return cols, marks
+
+
+def _fold(acc: np.ndarray, s: int) -> np.ndarray:
+    # acc[j] counts, for every tail row, the valid words whose head holds j
+    # marked letters; fold the tail's letters in, first to last: a word
+    # whose letter is the marked one moves from j to j + 1
+    import numpy as np
+
+    marked = s - 1
+    while acc.shape[1] > 1:
+        cube = acc.reshape(len(acc), s, -1)
+        acc = np.zeros((len(cube) + 1, cube.shape[2]), dtype=np.int64)
+        cube[:, :marked].sum(axis=1, dtype=np.int64, out=acc[:-1])
+        acc[1:] += cube[:, marked]
+    return acc[:, 0]
+
+
+def _histograms(
     spec: CaseSpec, m: int, length: int, shortest: int
 ) -> list[list[int]]:
     # counts of valid words by number of marked letters at each length l in
-    # shortest..length, from all words of the given length; a word of
-    # length l is its row padded with 0s: every s**(length - l)-th row of
-    # blocks fixing only 0s from l on
+    # shortest..length: a length l <= t off every s**(t - l)-th tail row,
+    # the row padded with 0s; a longer one from the joins of every head of
+    # l - t letters with the tail table
     import numpy as np
 
     s = spec.alphabet_size(m)
     marked = s - 1
-    # at least one letter column, so no block is a single word however
-    # large the alphabet
-    tail = min(length, 1)
-    while tail < length and s ** (tail + 1) <= _CHUNK_ROWS:
-        tail += 1
-    # letters take the smallest signed type that holds 0..s-1; one row per
-    # letter position, so each column of the word block is contiguous
-    letters = np.arange(s, dtype=np.min_scalar_type(-s))
-    cols = np.empty((length, s**tail), dtype=letters.dtype)
-    tail_marks = np.zeros(s**tail, dtype=np.min_scalar_type(length))
-    for i, row in enumerate(cols[length - tail :]):
-        row[:] = np.tile(np.repeat(letters, s ** (tail - 1 - i)), s**i)
-        tail_marks += row == marked
-    # row l - shortest counts words of length l by their rows' marks
-    hists = np.zeros((length + 1 - shortest, length + 1), dtype=np.int64)
-    for fixed in itertools.product(range(s), repeat=length - tail):
-        for row, letter in zip(cols, fixed):
-            row.fill(letter)
-        # the fixed letters from position `zeros` on are all 0
-        zeros = max((i + 1 for i, x in enumerate(fixed) if x), default=0)
-        # a row's marks are its fixed prefix's plus its tail's
-        shift = fixed.count(marked)
-        for l, read in enumerate(_prefix_masks(spec, m, cols.T)):
-            if l >= max(shortest, zeros):
-                step = s ** (length - l)
-                hists[l - shortest, shift : shift + tail + 1] += np.bincount(
-                    tail_marks[::step][read(step)], minlength=tail + 1
-                )
-    # the 0s padding a shorter word are marks only on a one-letter alphabet
-    return [
-        hist[(length - l) * (marked == 0) :][: l + 1].tolist()
-        for l, hist in enumerate(hists, shortest)
-    ]
+    t = min(length, 1)
+    while t < length and s ** (t + 1) <= _CHUNK_ROWS:
+        t += 1
+    table, tail_marks = _word_table(s, t)
+    hists = []
+    # tails joined with heads need their start open; words of one table
+    # do not
+    for l, cut in enumerate(_scan(spec, table.T, open_start=t < length)):
+        if l >= shortest:
+            step = s ** (t - l)
+            hist = np.bincount(
+                tail_marks[::step][_closed(spec, cut(step))], minlength=t + 1
+            )
+            # the 0s padding a shorter word are marks only on a one-letter
+            # alphabet
+            hists.append(hist[(t - l) * (marked == 0) :][: l + 1].tolist())
+    if t == length:
+        return hists
+    # the last cut holds all t letters of every tail row
+    tails = cut(1)
+    heads, head_marks = _word_table(s, length - t)
+    for h, cut in enumerate(_scan(spec, heads.T, open_start=False)):
+        if h == 0 or t + h < shortest:
+            continue
+        # heads of h letters are the head rows padded with 0s
+        step = s ** (length - t - h)
+        marks = head_marks[::step]
+        # the narrowest type that counts all s**h heads joining a tail row
+        acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
+        for i, mask in _joins(spec, cut(step), tails):
+            acc[marks[i]] += mask.view(np.uint8)
+        hists.append(_fold(acc, s).tolist())
+    return hists
 
 
 def marked_histogram(
@@ -309,7 +467,7 @@ def marked_histogram(
     """Counts of valid words of the given length, bucketed by how many
     times the marked letter (the alphabet maximum) occurs."""
     _enumerable_alphabet(spec, m, length, budget)
-    return _histogram_block(spec, m, length, length)[0]
+    return _histograms(spec, m, length, length)[0]
 
 
 def marked_histograms(
@@ -320,7 +478,7 @@ def marked_histograms(
     enumeration of the words of the given length: each shorter word is
     read off the scan at its row padded with 0s."""
     _enumerable_alphabet(spec, m, length, budget)
-    return _histogram_block(spec, m, length, 0)
+    return _histograms(spec, m, length, 0)
 
 
 def count_exhaustive(

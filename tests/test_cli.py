@@ -394,8 +394,7 @@ def test_words_marks_without_marked_letter_exits_2(capsys):
     [
         (["--len", "-1"], "error: length must be >= 0\n"),
         (["--len", "2", "--jobs", "0"], "error: jobs must be >= 1\n"),
-        (["--len", "2", "--budget", "0"],
-         "error: enumerating 9 words exceeds the budget of 0\n"),
+        (["--len", "2", "--budget", "0"], "error: budget must be >= 1\n"),
     ],
 )
 @pytest.mark.parametrize("marks", ["0", "5"])
@@ -404,6 +403,17 @@ def test_words_marks_validates_like_the_count(capsys, args, err, marks):
     argv = ["words", "--case", "4", "--m", "1", *args]
     assert run_cli(capsys, *argv) == (2, "", err)
     assert run_cli(capsys, *argv, "--marks", marks) == (2, "", err)
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_words_and_verify_refuse_a_budget_below_one_alike(capsys, budget):
+    expected = (2, "", "error: budget must be >= 1\n")
+    for argv in (
+        ["words", "--case", "4", "--m", "1", "--len", "0"],
+        ["words", "--case", "4", "--m", "1", "--len", "0", "--list"],
+        ["verify", "--case", "4", "--m", "1"],
+    ):
+        assert run_cli(capsys, *argv, "--budget", budget) == expected, argv
 
 
 def test_export_bfile_round_trip(capsys, tmp_path):

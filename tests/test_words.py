@@ -239,10 +239,14 @@ MASK_POINTS = [
 ]
 
 
-def _mask_of(spec, m, rows):
-    # the dtype and column layout _histogram_block hands to the mask scan
+def _block(spec, m, rows):
+    # the dtype and column layout _histograms hands to the mask scan
     block = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
-    return words._valid_mask(spec, m, np.ascontiguousarray(block.T).T).tolist()
+    return np.ascontiguousarray(block.T).T
+
+
+def _mask_of(spec, m, rows):
+    return words._valid_mask(spec, m, _block(spec, m, rows)).tolist()
 
 
 class TestRunLengthMask:
@@ -280,12 +284,114 @@ class TestRunLengthMask:
             assert is_valid(spec, 1, word) == (run % period == 0)
 
 
+def _join_of(spec, m, heads, tails):
+    # every head row joined with every tail row as _histograms joins them,
+    # each side scanned on its own; a head the join skips completes no word
+    def last_cut(rows, open_start):
+        return words._last(words._scan(spec, _block(spec, m, rows), open_start))(1)
+
+    masks = dict(words._joins(spec, last_cut(heads, False), last_cut(tails, True)))
+    return [
+        masks[i].tolist() if i in masks else [False] * len(tails)
+        for i in range(len(heads))
+    ]
+
+
+def _each_joined(spec, m, heads, tails):
+    return [[is_valid(spec, m, h + t) for t in tails] for h in heads]
+
+
+class TestHeadTailJoin:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_predicate(self, data):
+        # heads and tails of 1 to 40 letters: a join has a letter on each
+        # side of its boundary
+        spec, m = data.draw(st.sampled_from(MASK_POINTS))
+        letter = st.integers(min_value=0, max_value=spec.alphabet_size(m) - 1)
+
+        def rows():
+            length = data.draw(st.integers(min_value=1, max_value=40))
+            word = st.lists(letter, min_size=length, max_size=length)
+            return data.draw(st.lists(word, min_size=1, max_size=10))
+
+        heads, tails = rows(), rows()
+        assert _join_of(spec, m, heads, tails) == _each_joined(spec, m, heads, tails)
+
+    @pytest.mark.parametrize("point", MASK_POINTS, ids=point_id)
+    def test_runs_across_the_boundary(self, point):
+        # a run of 1 to 7 letters ends every head and starts every tail,
+        # next to another letter: of the same letter, 2 to 14 letters cross
+        # the boundary; of another, a run ends on each side of it
+        spec, m = point
+        s = spec.alphabet_size(m)
+        for x in range(s):
+            y = (x + 1) % s
+            heads = [[y] * (7 - i) + [x] * i for i in range(1, 8)]
+            tails = [
+                [first] * j + [second] * (7 - j)
+                for first, second in ((x, y), (y, x))
+                for j in range(1, 8)
+            ]
+            assert _join_of(spec, m, heads, tails) == _each_joined(
+                spec, m, heads, tails
+            ), x
+
+    @pytest.mark.parametrize(
+        "spec, letter, run",
+        [
+            (CaseSpec(5), 1, 255),
+            (CaseSpec(5), 1, 256),
+            (CaseSpec(5), 1, 257),
+            (CaseSpec(5), 1, 258),
+            (CaseSpec(2, a=1), 0, 256),
+            (CaseSpec(2, a=1), 0, 257),
+        ],
+    )
+    def test_long_run_across_the_boundary(self, spec, letter, run):
+        # 200 letters of the run end the head and the rest start the tail:
+        # an 8-bit run length would wrap
+        period = 3 if letter == 1 else 2
+        unrestricted = spec.alphabet_size(1) - 1
+        heads = [[letter] * 200]
+        rest = run - 200
+        for tails in ([[letter] * rest], [[letter] * rest + [unrestricted]]):
+            assert _join_of(spec, 1, heads, tails) == [[run % period == 0]]
+            assert _each_joined(spec, 1, heads, tails) == [[run % period == 0]]
+
+    def test_tail_table_scanned_once(self, monkeypatch):
+        # 16-row tables: tails of 2 of the 3 letters, 729 heads of 6
+        monkeypatch.setattr(words, "_CHUNK_ROWS", 16)
+        scanned = []
+        scan = words._scan
+
+        def counted(spec, block, open_start):
+            scanned.append(block.shape)
+            return scan(spec, block, open_start)
+
+        monkeypatch.setattr(words, "_scan", counted)
+        spec, m = CaseSpec(4), 1
+        assert marked_histograms(spec, m, 8) == automaton_histograms(spec, m, 8)
+        assert scanned == [(9, 2), (729, 6)]
+
+
+# block sizes of 1, 4 and 16 rows, so that heads run from one letter to
+# four and more; the 4-row cases keep the point's own id
+BLOCK_SIZES = [
+    pytest.param(
+        point, rows, id=point_id(point) + ("" if rows == 4 else f"-{rows}rows")
+    )
+    for rows in (4, 1, 16)
+    for point in BLOCK_POINTS
+]
+
+
 class TestEnumerationBlocks:
-    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
-    def test_many_blocks_match_reference(self, point, monkeypatch):
-        # four-row blocks: most lengths span many fixed-prefix blocks, and
-        # alphabets of five or more letters get blocks of one letter column
-        monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
+    @pytest.mark.parametrize("point, rows", BLOCK_SIZES)
+    def test_many_blocks_match_reference(self, point, rows, monkeypatch):
+        # small blocks: most lengths join many heads with one tail table,
+        # and alphabets larger than a block get tails of one letter
+        monkeypatch.setattr(words, "_CHUNK_ROWS", rows)
         spec, m = point
         for length in range(max_enumerable_length(spec, m, budget=1500) + 1):
             assert marked_histogram(spec, m, length) == _reference_histogram(
@@ -316,16 +422,23 @@ class TestEveryLengthFromOneEnumeration:
         spec, m = point
         self._assert_per_length(spec, m, min(8, max_enumerable_length(spec, m)))
 
-    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
-    def test_four_row_blocks(self, point, monkeypatch):
-        monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
+    @pytest.mark.parametrize("point, rows", BLOCK_SIZES)
+    def test_four_row_blocks(self, point, rows, monkeypatch):
+        monkeypatch.setattr(words, "_CHUNK_ROWS", rows)
         spec, m = point
         self._assert_per_length(spec, m, max_enumerable_length(spec, m, budget=1500))
 
     def test_many_real_blocks(self):
-        # 5**9 words make 25 blocks of 5**7 rows
+        # 5**9 words: 25 heads of two letters joined with 5**7 tails
         assert words._CHUNK_ROWS < 5**9
         self._assert_per_length(CaseSpec(5), 3, 9, budget=10**7)
+
+    def test_hundreds_of_heads_per_tail(self, monkeypatch):
+        # tails of one letter: 448 heads of six letters, none marked, join
+        # each tail row, more than an 8-bit counter holds
+        monkeypatch.setattr(words, "_CHUNK_ROWS", 4)
+        spec, m = CaseSpec(1, a=1), 3
+        assert marked_histograms(spec, m, 7) == automaton_histograms(spec, m, 7)
 
     def test_one_letter_alphabet(self):
         # the single letter pads shorter words and is also the top letter
@@ -372,7 +485,7 @@ class TestIterWords:
         # no word is asked for: the call itself must raise
         with pytest.raises(ValueError, match="length must be >= 0"):
             iter_words(CaseSpec(4), 0, -1)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
             iter_words(CaseSpec(4), 1, 2, budget=0)
 
 
