@@ -11,11 +11,15 @@ Exit codes: 0 success or verified, 1 verification counterexample,
 2 usage or parameter error, 3 I/O error.  All output is exact decimal
 integers.  Sequence indices are passed with ``--n`` and word lengths
 with ``--len``; the two differ by one and are never conflated.
+
+``main(argv)`` may be called many times in one process: it builds the
+parser on its first call and reuses it on every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Iterable
 
@@ -95,10 +99,23 @@ def _print_reports(reports: Iterable) -> int:
     return 1 if failed else 0
 
 
+def _refuse(command: str, given: list[str]) -> None:
+    # a selector the command would ignore is an error, not a no-op
+    if given:
+        raise ValueError(f"{command} cannot be combined with {', '.join(given)}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    point = [
+        f"--{name}"
+        for name in ("case", "a", "b", "m")
+        if getattr(args, name) is not None
+    ]
     if args.adjudicate:
+        _refuse("verify --adjudicate", (["--all"] if args.all else []) + point)
         return _print_reports([adjudicate_case1_leading_term()])
     if args.all:
+        _refuse("verify --all", point)
         points = default_grid()
     else:
         if args.case is None:
@@ -120,6 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_identity(args: argparse.Namespace) -> int:
     if args.all:
+        _refuse("identity --all", ["--name"] if args.name is not None else [])
         reports = check_all(max_n=args.max_n)
     elif args.name is not None:
         reports = [check_identity(args.name, max_n=args.max_n)]
@@ -253,10 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, not at import; argparse looks up
+# sys.stdout, sys.stderr and the terminal width when it prints, so one
+# parser serves every later call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # exact integers of any length print; the caller's limit comes back

@@ -268,6 +268,30 @@ def test_identity_without_selector_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, given",
+    [
+        ("verify --all", "--case 4"),
+        ("verify --all", "--a 2"),
+        ("verify --all", "--b 1"),
+        ("verify --all", "--m 0"),
+        ("verify --all", "--case 4 --m 1"),
+        ("verify --adjudicate", "--all"),
+        ("verify --adjudicate", "--case 1"),
+        ("verify --adjudicate", "--a 2"),
+        ("verify --adjudicate", "--b 1"),
+        ("verify --adjudicate", "--m 0"),
+        ("verify --adjudicate", "--all --case 3 --a 3 --b 1"),
+        ("identity --all", "--name tribonacci-sum"),
+    ],
+)
+def test_ignored_selector_exits_2(capsys, command, given):
+    # a selector the command would not use fails instead of being dropped
+    flags = ", ".join(word for word in given.split() if word.startswith("--"))
+    err = f"error: {command} cannot be combined with {flags}\n"
+    assert run_cli(capsys, *command.split(), *given.split()) == (2, "", err)
+
+
 def test_words_count(capsys):
     code, out, _ = run_cli(
         capsys, "words", "--case", "2", "--a", "1", "--m", "1", "--len", "4"
@@ -531,6 +555,65 @@ def test_no_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_repeated_calls_are_independent(capsys):
+    # nothing one call parses or prints reaches the next: run twice in one
+    # process, every call prints what it printed the first time
+    seq = ["seq", "--case", "4", "--n", "6"]
+    words = ["words", "--case", "2", "--a", "1", "--m", "1", "--len", "4"]
+    calls = [
+        ["seq", "--case", "9", "--n", "6"],
+        seq,
+        ["--help"],
+        seq,
+        [*seq, "--m", "2"],
+        seq,
+        [*words, "--list"],
+        words,
+    ]
+    first = {}
+    for argv in calls * 2:
+        result = run_cli(capsys, *argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    assert first[tuple(calls[0])][:2] == (2, "")
+    assert first[("--help",)][0] == 0
+    # without --m the m = 0 values, not the m = 2 ones of the call before
+    m0 = " ".join(str(v) for v in fm_sequence(CaseSpec(4), 0, 6))
+    m2 = " ".join(str(v) for v in fm_sequence(CaseSpec(4), 2, 6))
+    assert first[tuple(seq)] == (0, f"{m0}\n", "")
+    assert first[(*seq, "--m", "2")] == (0, f"{m2}\n", "")
+    assert first[tuple(words)] == (0, "5\n", "")
+
+
+def test_help_wraps_to_each_calls_terminal_width(capsys, monkeypatch):
+    helps = {}
+    for columns in ("40", "200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run_cli(capsys, "seq", "--help")
+        assert code == 0
+        assert helps.setdefault(columns, out) == out
+    assert len(helps["40"].splitlines()) > len(helps["200"].splitlines())
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["seq", "--case", "4", "--m", "1", "--n", "5"]
+    warm = run_cli(capsys, *argv)
+    built.clear()
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == warm
+    assert built == []
+    # build_parser itself still builds a new parser on every call
+    assert build_parser() is not build_parser()
+    assert built
 
 
 def test_module_entry_point_runs():
