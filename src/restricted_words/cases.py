@@ -25,6 +25,19 @@ closed-form f_0).  The closed form for c_m(n,k) lifts one closed-form
 c_1 row through the single ``_lift`` sum; the one for f_m(n) weights
 that row by m^(i-1), the lift summed over k.
 
+Each closed form is evaluated one row per (parameters, n): ``_c1_row``
+keyed by (family, a, b, n), ``_c2_row`` by (a, n) and ``_repunit_row``
+by (b, n) are cached, and each computes every cell k of its row as that
+cell's own closed-form sum.  The subterms are computed once and shared
+across the cells: the powers of a, a-1 and b, family 3's Lucas values,
+the binomials C(x, y) for x <= n (cached per x across all rows), and for
+families 4 and 5 the inner j-sum of the double sum, which depends only
+on i and d = n-k and is cached per d across rows.  No row is derived
+from another row, a triangle or a recurrence: the repunit row does not
+read the family-3 row and the c_2 row is no lift, so every closed form
+stays a route of its own.  ``c1_explicit``, ``c2_explicit_case2`` and
+``c1_case3_repunit`` check their arguments and read one cell of the row.
+
 Family 3's closed form sums powers of the reciprocal roots u, v of
 b*x^2 - a*x + 1.  Since u + v = a and u*v = b, the sum is an integer
 combination of the Lucas sequence V(t) = u^t + v^t, so it is evaluated
@@ -35,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .sequences import Sequence, binom
 
@@ -154,67 +168,104 @@ def _check_cell(n: int, k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _c1_case1(a: int, n: int, k: int) -> int:
-    # sum_{i=0}^{k-1} C(k,i) C(n-k-1,k-i-1) a^(k-i) (a-1)^(n-2k+i) off the
-    # diagonal; when both binomials are nonzero the (a-1)-exponent is >= 0
-    if n == k:
-        return 1
-    total = 0
-    for i in range(k):
-        w = binom(k, i) * binom(n - k - 1, k - i - 1)
-        if w == 0:
-            continue
-        total += w * a ** (k - i) * (a - 1) ** (n - 2 * k + i)
-    return total
+def _binomials(x: int) -> tuple[int, ...]:
+    """C(x, 0), ..., C(x, x)."""
+    return tuple(comb(x, y) for y in range(x + 1))
+
+
+def _pascal(top: int) -> list[tuple[int, ...]]:
+    # C[x][y] = C(x, y) for 0 <= y <= x <= top; every sum below runs only
+    # over the indices where its binomials are nonzero, so no index it
+    # reads is negative or past the end of a row
+    return [_binomials(x) for x in range(top + 1)]
 
 
 @lru_cache(maxsize=None)
-def _c1_case3(a: int, b: int, n: int, k: int) -> int:
-    # c1 = sum_{j=0}^{d} w_j u^j v^(d-j) with d = n-k; the weight w_j is
-    # symmetric under j <-> d-j and u*v = b, so pairing j with d-j gives
-    # w_j b^j V(d-2j), the unpaired middle term (2j = d) being w_j b^j
-    d = n - k
-    lucas = [2, a]
-    while len(lucas) <= d:
-        lucas.append(a * lucas[-1] - b * lucas[-2])
-    total = 0
-    for j in range(d // 2 + 1):
-        w = binom(n - j - 1, k - 1) * binom(k + j - 1, k - 1)
-        total += w * b**j * (lucas[d - 2 * j] if 2 * j < d else 1)
-    return total
+def _inner_j_sums(case_id: int, d: int) -> tuple[int, ...]:
+    # families 4 and 5 write c_1(n,k) as [d == 0] + sum_i C(k,i) S(i,d)
+    # with d = n-k; entry i-1 is the inner sum S(i,d), zero for i > d//2:
+    # family 4: S = sum_{j=i}^{d//2} C(j-1,i-1) C(d-j-1,j-1)
+    # family 5: S = sum_j C(j-1,i-1) C(j,d-2j) over j >= i, 0 <= d-2j <= j
+    C = _pascal(d)
+    low = 0 if case_id == 4 else -(-d // 3)
+    return tuple(
+        sum(
+            C[j - 1][i - 1] * (C[d - j - 1][j - 1] if case_id == 4 else C[j][d - 2 * j])
+            for j in range(max(i, low), d // 2 + 1)
+        )
+        for i in range(1, d // 2 + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _c1_row(case_id: int, a: int | None, b: int | None, n: int) -> tuple[int, ...]:
+    """c_1(n,1), ..., c_1(n,n), each cell the family's closed-form sum."""
+    C = _pascal(n)
+    if case_id == 1:
+        # sum_i C(k,i) C(n-k-1,k-i-1) a^(k-i) (a-1)^(n-2k+i) off the
+        # diagonal, over the i where both binomials are nonzero
+        pa, pa1 = [a**e for e in range(n)], [(a - 1) ** e for e in range(n)]
+        return tuple(
+            sum(
+                C[k][i] * C[n - k - 1][k - i - 1] * pa[k - i] * pa1[n - 2 * k + i]
+                for i in range(max(0, 2 * k - n), k)
+            )
+            for k in range(1, n)
+        ) + (1,)
+    if case_id == 2:
+        pa = [a**e for e in range(n // 2 + 1)]
+        return tuple(
+            0 if (n - k) % 2 else pa[(n - k) // 2] * C[(n + k) // 2 - 1][k - 1]
+            for k in range(1, n + 1)
+        )
+    if case_id == 3:
+        # c1 = sum_{j=0}^{d} w_j u^j v^(d-j) with d = n-k; the weight w_j is
+        # symmetric under j <-> d-j and u*v = b, so pairing j with d-j gives
+        # w_j b^j V(d-2j), the unpaired middle term (2j = d) being w_j b^j
+        lucas = [2, a]
+        while len(lucas) < n:
+            lucas.append(a * lucas[-1] - b * lucas[-2])
+        pb = [b**e for e in range(n // 2 + 1)]
+        return tuple(
+            sum(
+                C[n - j - 1][k - 1]
+                * C[k + j - 1][k - 1]
+                * pb[j]
+                * (lucas[n - k - 2 * j] if 2 * j < n - k else 1)
+                for j in range((n - k) // 2 + 1)
+            )
+            for k in range(1, n + 1)
+        )
+    # families 4 and 5
+    return tuple(
+        (1 if k == n else 0)
+        + sum(
+            C[k][i] * inner
+            for i, inner in enumerate(_inner_j_sums(case_id, n - k)[:k], start=1)
+        )
+        for k in range(1, n + 1)
+    )
 
 
 def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
     """Closed form for c_1(n,k), the weight of compositions of n into k
     parts under f_0; equals the convolution-triangle entry."""
     _check_cell(n, k)
-    a = spec.a
-    if spec.case_id == 1:
-        return _c1_case1(a, n, k)
-    if spec.case_id == 2:
-        if (n - k) % 2 == 1:
-            return 0
-        return a ** ((n - k) // 2) * binom((n + k) // 2 - 1, k - 1)
-    if spec.case_id == 3:
-        return _c1_case3(a, spec.b, n, k)
-    if spec.case_id == 4:
-        if n == k:
-            return 1
-        total = 0
-        for i in range(1, k + 1):
-            ci = binom(k, i)
-            for j in range(i, (n - k) // 2 + 1):
-                w = binom(j - 1, i - 1) * binom(n - k - j - 1, j - 1)
-                total += ci * w
-        return total
-    # family 5; the i = 0 term of the expansion is the indicator [n == k]
-    total = 1 if n == k else 0
-    for i in range(1, k + 1):
-        ci = binom(k, i)
-        for j in range(i, n - k + 1):
-            w = binom(j - 1, i - 1) * binom(j, n - k - 2 * j)
-            total += ci * w
-    return total
+    return _c1_row(spec.case_id, spec.a, spec.b, n)[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _repunit_row(b: int, n: int) -> tuple[int, ...]:
+    # sum_{i=0}^{n-k} b^(n-k-i) C(n-i-1,k-1) C(k+i-1,k-1)
+    C = _pascal(n)
+    pb = [b**e for e in range(n)]
+    return tuple(
+        sum(
+            pb[n - k - i] * C[n - i - 1][k - 1] * C[k + i - 1][k - 1]
+            for i in range(n - k + 1)
+        )
+        for k in range(1, n + 1)
+    )
 
 
 def c1_case3_repunit(b: int, n: int, k: int) -> int:
@@ -223,9 +274,22 @@ def c1_case3_repunit(b: int, n: int, k: int) -> int:
     if b < 1:
         raise ValueError("b must be >= 1")
     _check_cell(n, k)
-    return sum(
-        b ** (n - k - i) * binom(n - i - 1, k - 1) * binom(k + i - 1, k - 1)
-        for i in range(n - k + 1)
+    return _repunit_row(b, n)[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _c2_row(a: int, n: int) -> tuple[int, ...]:
+    # n = 2*half - p; odd rows (p = 1) shift both binomials down by one
+    p = n % 2
+    half = (n + p) // 2
+    C = _pascal(n)
+    pa = [a**e for e in range(half + 1)]
+    return tuple(
+        sum(
+            pa[half - j] * C[2 * j - 1 - p][k - 1] * C[half + j - 1 - p][half - j]
+            for j in range(-(-(k + p) // 2), half + 1)
+        )
+        for k in range(1, n + 1)
     )
 
 
@@ -235,16 +299,10 @@ def c2_explicit_case2(a: int, n: int, k: int) -> int:
     if a < 1:
         raise ValueError("a must be >= 1")
     _check_cell(n, k)
-    # n = 2*half - p; odd rows (p = 1) shift both binomials down by one
-    p = n % 2
-    half = (n + p) // 2
-    return sum(
-        a ** (half - j) * binom(2 * j - 1 - p, k - 1) * binom(half + j - 1 - p, half - j)
-        for j in range(-(-(k + p) // 2), half + 1)
-    )
+    return _c2_row(a, n)[k - 1]
 
 
-def _lift(cells: list[int], m: int, k: int) -> int:
+def _lift(cells: tuple[int, ...], m: int, k: int) -> int:
     # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i), with
     # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n)
     total = 0
@@ -265,7 +323,7 @@ def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
     if a < 1:
         raise ValueError("a must be >= 1")
     _check_cell(n, k)
-    return _lift([_c1_case1(a, n, i) for i in range(k, n + 1)], m, k)
+    return _lift(_c1_row(1, a, None, n)[k - 1 :], m, k)
 
 
 def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
@@ -302,9 +360,8 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
             m ** (n - 2 * j - 1) * spec.a**j * binom(n - 1 - j, j)
             for j in range((n - 1) // 2 + 1)
         )
-    if m == 0:
-        return c1_explicit(spec, n, 1)
-    return sum(m ** (i - 1) * c1_explicit(spec, n, i) for i in range(1, n + 1))
+    row = _c1_row(spec.case_id, spec.a, spec.b, n)
+    return sum(m**i * cell for i, cell in enumerate(row))
 
 
 def fm_formula_available(spec: CaseSpec, m: int) -> bool:

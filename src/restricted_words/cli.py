@@ -64,11 +64,13 @@ def _add_family_arguments(
     parser.add_argument("--b", type=int, default=None, help="alphabet parameter b")
 
 
-def _add_budget_argument(parser: argparse.ArgumentParser) -> None:
+def _add_budget_argument(
+    parser: argparse.ArgumentParser, default: int | None = DEFAULT_BUDGET
+) -> None:
     parser.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=default,
         help="maximum number of words an enumeration may touch",
     )
 
@@ -105,14 +107,27 @@ def _refuse(command: str, given: list[str]) -> None:
         raise ValueError(f"{command} cannot be combined with {', '.join(given)}")
 
 
+# verify's bounds on cross_check; the parser leaves them None so that
+# --adjudicate, which runs no cross_check, can refuse a bound it was given
+_VERIFY_BOUNDS = {"max_len": 8, "triangle_n": 10, "budget": DEFAULT_BUDGET}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     point = [
         f"--{name}"
         for name in ("case", "a", "b", "m")
         if getattr(args, name) is not None
     ]
+    bounds = {name: getattr(args, name) for name in _VERIFY_BOUNDS}
     if args.adjudicate:
-        _refuse("verify --adjudicate", (["--all"] if args.all else []) + point)
+        given = [
+            "--" + name.replace("_", "-")
+            for name, value in bounds.items()
+            if value is not None
+        ]
+        _refuse(
+            "verify --adjudicate", (["--all"] if args.all else []) + point + given
+        )
         return _print_reports([adjudicate_case1_leading_term()])
     if args.all:
         _refuse("verify --all", point)
@@ -123,16 +138,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         spec = _spec_from(args)
         levels = grid_levels(spec) if args.m is None else (args.m,)
         points = [(spec, m) for m in levels]
-    return _print_reports(
-        cross_check(
-            spec,
-            m,
-            max_len=args.max_len,
-            triangle_n=args.triangle_n,
-            budget=args.budget,
-        )
-        for spec, m in points
-    )
+    for name, default in _VERIFY_BOUNDS.items():
+        if bounds[name] is None:
+            bounds[name] = default
+    return _print_reports(cross_check(spec, m, **bounds) for spec, m in points)
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
@@ -235,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the two printed leading terms of the level-m "
         "closed form for family 1",
     )
-    p.add_argument("--max-len", type=int, default=8, dest="max_len")
-    p.add_argument("--triangle-n", type=int, default=10, dest="triangle_n")
-    _add_budget_argument(p)
+    p.add_argument("--max-len", type=int, default=None, dest="max_len")
+    p.add_argument("--triangle-n", type=int, default=None, dest="triangle_n")
+    _add_budget_argument(p, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identity", help="check named identities")

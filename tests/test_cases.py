@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from conftest import GRID_POINTS, GRID_SPECS, levels_for, point_id, spec_id
 
+from restricted_words import cases
 from restricted_words.cases import (
     CaseSpec,
     c1_case3_repunit,
@@ -156,17 +157,24 @@ class TestC1Explicit:
         with pytest.raises(ValueError):
             c1_explicit(CaseSpec(4), 3, 0)
 
-    # off-grid family-3 points reach discriminants a^2-4b = 4 and 9 and
-    # wider a-b gaps than the default grid
+    # off-grid points: family 1 up to a = 8 and every family-3 pair
+    # 1 <= b < a <= 8 (plus a = 10, b = 9), which reach discriminants
+    # a^2-4b = 4 and 9 and wider a-b gaps than the default grid
     @pytest.mark.parametrize(
         "spec",
         GRID_SPECS
-        + [CaseSpec(3, a=a, b=b) for a, b in ((4, 3), (5, 3), (5, 4), (6, 1), (10, 9))],
+        + [
+            spec
+            for spec in [CaseSpec(1, a=a) for a in range(1, 9)]
+            + [CaseSpec(3, a=a, b=b) for a in range(2, 9) for b in range(1, a)]
+            + [CaseSpec(3, a=10, b=9)]
+            if spec not in GRID_SPECS
+        ],
         ids=spec_id,
     )
     def test_equals_convolution_triangle(self, spec):
-        t = composition_triangle(f0_prefix(spec, 14))
-        for n in range(1, 15):
+        t = composition_triangle(f0_prefix(spec, 40))
+        for n in range(1, 41):
             for k in range(1, n + 1):
                 assert c1_explicit(spec, n, k) == t.at(n, k), (spec, n, k)
 
@@ -181,6 +189,13 @@ class TestC1Explicit:
                 for k in range(1, n + 1):
                     assert c1_case3_repunit(b, n, k) == c1_explicit(spec, n, k)
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+    def test_repunit_equals_convolution_triangle(self, b):
+        t = composition_triangle(f0_prefix(CaseSpec(3, a=b + 1, b=b), 40))
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                assert c1_case3_repunit(b, n, k) == t.at(n, k), (b, n, k)
+
     def test_repunit_rejects_bad_b(self):
         with pytest.raises(ValueError):
             c1_case3_repunit(0, 3, 1)
@@ -192,11 +207,11 @@ class TestC2ExplicitCase2:
         assert c2_explicit_case2(1, 3, 1) == 2
         assert c2_explicit_case2(1, 3, 3) == 1
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_equals_lifted_triangle(self, a):
         spec = CaseSpec(2, a=a)
-        t = lift_triangle(composition_triangle(f0_prefix(spec, 14)), 2)
-        for n in range(1, 15):
+        t = lift_triangle(composition_triangle(f0_prefix(spec, 60)), 2)
+        for n in range(1, 61):
             for k in range(1, n + 1):
                 assert c2_explicit_case2(a, n, k) == t.at(n, k), (a, n, k)
 
@@ -205,6 +220,45 @@ class TestC2ExplicitCase2:
             c2_explicit_case2(0, 3, 1)
         with pytest.raises(ValueError):
             c2_explicit_case2(1, 3, 4)
+
+
+class TestRowCallOrder:
+    # each closed form caches whole rows and shares subterms between them;
+    # a high row asked for first must leave every later cell as it would
+    # be from a cold start in ascending order
+    FORMS = {
+        "c1-case1": lambda n, k: c1_explicit(CaseSpec(1, a=3), n, k),
+        "c1-case2": lambda n, k: c1_explicit(CaseSpec(2, a=2), n, k),
+        "c1-case3": lambda n, k: c1_explicit(CaseSpec(3, a=5, b=2), n, k),
+        "c1-case4": lambda n, k: c1_explicit(CaseSpec(4), n, k),
+        "c1-case5": lambda n, k: c1_explicit(CaseSpec(5), n, k),
+        "c2-case2": lambda n, k: c2_explicit_case2(3, n, k),
+        "repunit": lambda n, k: c1_case3_repunit(3, n, k),
+    }
+
+    @staticmethod
+    def clear_caches():
+        for cached in (
+            cases._binomials,
+            cases._inner_j_sums,
+            cases._c1_row,
+            cases._c2_row,
+            cases._repunit_row,
+        ):
+            cached.cache_clear()
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_high_row_first_gives_the_same_cells(self, name):
+        form = self.FORMS[name]
+
+        def ascending():
+            return [[form(n, k) for k in range(1, n + 1)] for n in range(1, 31)]
+
+        self.clear_caches()
+        cold = ascending()
+        self.clear_caches()
+        form(30, 11)
+        assert ascending() == cold
 
 
 class TestCmExplicitCase1:

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 import restricted_words
-from restricted_words import cases
+from restricted_words import cases, cli
 from restricted_words.cases import CaseSpec, fm_sequence
 from restricted_words.cli import build_parser, main
 from restricted_words.formats import parse_bfile, parse_json, parse_triangle_csv
 from restricted_words.sequences import composition_triangle, invert_power
 from restricted_words.verification import SEQUENCE_ROUTES, TRIANGLE_ROUTES
-from restricted_words.words import count_automaton
+from restricted_words.words import DEFAULT_BUDGET, count_automaton
 
 from conftest import GRID_SPECS, levels_for, point_id, spec_id
 
@@ -244,6 +244,25 @@ def test_verify_adjudicate(capsys):
     assert "corrected form confirmed" in out
 
 
+def test_verify_fills_in_its_bounds(capsys, monkeypatch):
+    # the parser leaves the bounds None; verify supplies its own defaults
+    calls = []
+    real = cli.cross_check
+
+    def recording(spec, m, **bounds):
+        calls.append(bounds)
+        return real(spec, m, **bounds)
+
+    monkeypatch.setattr(cli, "cross_check", recording)
+    assert run_cli(capsys, "verify", "--case", "4", "--m", "1")[0] == 0
+    argv = ("verify", "--case", "4", "--m", "1", "--max-len", "3", "--budget", "7")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [
+        {"max_len": 8, "triangle_n": 10, "budget": DEFAULT_BUDGET},
+        {"max_len": 3, "triangle_n": 10, "budget": 7},
+    ]
+
+
 def test_identity_single(capsys):
     code, out, _ = run_cli(
         capsys, "identity", "--name", "tribonacci-sum", "--max-n", "20"
@@ -282,6 +301,10 @@ def test_identity_without_selector_exits_2(capsys):
         ("verify --adjudicate", "--b 1"),
         ("verify --adjudicate", "--m 0"),
         ("verify --adjudicate", "--all --case 3 --a 3 --b 1"),
+        ("verify --adjudicate", "--max-len 3"),
+        ("verify --adjudicate", "--triangle-n 2"),
+        ("verify --adjudicate", "--budget 5"),
+        ("verify --adjudicate", "--all --m 1 --max-len 3 --triangle-n 2 --budget 5"),
         ("identity --all", "--name tribonacci-sum"),
     ],
 )

@@ -155,6 +155,33 @@ def test_corrupted_formula_is_caught(monkeypatch):
     assert {"lhs", "rhs"} <= set(bad[0].witness)
 
 
+@pytest.mark.parametrize(
+    "name, point, label",
+    [
+        (
+            "c1_case3_repunit",
+            (CaseSpec(3, a=3, b=2), 1),
+            "repunit-specialization-vs-field-form",
+        ),
+        ("c2_explicit_case2", (CaseSpec(2, a=2), 2), "explicit-triangle-vs-lift"),
+    ],
+)
+def test_corrupted_closed_form_cell_is_caught(monkeypatch, name, point, label):
+    # one wrong cell (n, k) = (6, 3) fails its own comparison and no other
+    real = getattr(cases, name)
+
+    def corrupt(param, n, k):
+        value = real(param, n, k)
+        return value + 1 if (n, k) == (6, 3) else value
+
+    monkeypatch.setattr(cases, name, corrupt)
+    report = cross_check(*point)
+    bad = [c for c in report.comparisons if not c.ok]
+    assert [c.label for c in bad] == [label]
+    assert (bad[0].witness["n"], bad[0].witness["k"]) == (6, 3)
+    assert bad[0].witness["lhs"] == bad[0].witness["rhs"] + 1
+
+
 def test_corrupted_explicit_route_is_caught(monkeypatch):
     real = cases.fm_explicit
 
