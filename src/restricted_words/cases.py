@@ -38,6 +38,22 @@ read the family-3 row and the c_2 row is no lift, so every closed form
 stays a route of its own.  ``c1_explicit``, ``c2_explicit_case2`` and
 ``c1_case3_repunit`` check their arguments and read one cell of the row.
 
+The five ``lru_cache``s are unbounded, and each grows by one row per
+distinct key:
+
+- ``_binomials`` is keyed by x and holds C(x, 0..x), x+1 ints;
+- ``_inner_j_sums`` is keyed by (family 4 or 5, d) and holds d//2 ints;
+- ``_c1_row``, ``_repunit_row`` and ``_c2_row`` are keyed by their
+  parameters and n, and hold n ints.
+
+The caches have no bound because rows up to N cost O(N^2) ints, the
+size of one N-row triangle, which is what a call up to N computes
+anyway.  A bound below that would only evict rows that come back:
+``_pascal(n)`` reads x = 0..n in order for every row, which is the
+worst case for an LRU smaller than n.  A CLI call is one process, and the caches die with
+it; a long-lived caller can empty them with each function's
+``cache_clear()``, as the tests do.
+
 Family 3's closed form sums powers of the reciprocal roots u, v of
 b*x^2 - a*x + 1.  Since u + v = a and u*v = b, the sum is an integer
 combination of the Lucas sequence V(t) = u^t + v^t, so it is evaluated
@@ -304,7 +320,10 @@ def c2_explicit_case2(a: int, n: int, k: int) -> int:
 
 def _lift(cells: tuple[int, ...], m: int, k: int) -> int:
     # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i), with
-    # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n)
+    # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n); at m = 1 every term
+    # but i = k has the factor 0^(i-k) = 0, so the lift is c_1(n,k)
+    if m == 1:
+        return cells[0]
     total = 0
     for d, cell in enumerate(cells):
         total += (m - 1) ** d * binom(k - 1 + d, k - 1) * cell

@@ -19,6 +19,13 @@ Everything here is pure and exact: values are Python ints of arbitrary
 precision, sequences are immutable, and all indices are 1-based (f(1) is
 the first entry; there is no entry at index 0).  The convention 0**0 = 1
 is relied on throughout, matching Python's own ``pow``.
+
+``Sequence`` and ``Triangle`` check every value they are given.  A plain
+``int`` is stored unchanged; any other ``numbers.Integral`` (``bool``,
+numpy integers, ``int`` subclasses such as ``IntEnum`` members) is stored
+as ``int(value)``; anything else, floats, fractions and decimals with an
+integral value included, raises ``TypeError``.  So every stored value is
+exactly of type ``int``.
 """
 
 from __future__ import annotations
@@ -42,18 +49,27 @@ def binom(n: int, k: int) -> int:
 
 
 def _as_int(value) -> int:
+    # the exact type test is the fast path: nearly every value is already
+    # a plain int, and an ABC isinstance check costs many times as much
+    if type(value) is int:
+        return value
     if isinstance(value, Integral):
         return int(value)
     raise TypeError(f"sequence values must be integers, got {value!r}")
 
 
 class Sequence:
-    """Finite prefix f(1..N) of an integer sequence, indexed from 1."""
+    """Finite prefix f(1..N) of an integer sequence, indexed from 1.
+
+    Stores each value as a plain ``int``: exact ints unchanged, any other
+    ``numbers.Integral`` through ``int()``; any other value raises
+    ``TypeError`` and an empty input raises ``ValueError``.
+    """
 
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]) -> None:
-        vals = tuple(_as_int(v) for v in values)
+        vals = tuple(map(_as_int, values))
         if not vals:
             raise ValueError("a sequence needs at least one value")
         self._values = vals
@@ -91,12 +107,18 @@ def as_sequence(f: Sequence | Iterable[int]) -> Sequence:
 
 
 class Triangle:
-    """Lower-triangular table c(n,k) for 1 <= k <= n <= N."""
+    """Lower-triangular table c(n,k) for 1 <= k <= n <= N.
+
+    Row n must hold exactly n values.  Each value is stored as a plain
+    ``int`` under the same rule as :class:`Sequence`: exact ints
+    unchanged, any other ``numbers.Integral`` through ``int()``, anything
+    else ``TypeError``.
+    """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        built = tuple(tuple(_as_int(v) for v in row) for row in rows)
+        built = tuple(tuple(map(_as_int, row)) for row in rows)
         if not built:
             raise ValueError("a triangle needs at least one row")
         for n, row in enumerate(built, start=1):

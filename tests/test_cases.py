@@ -272,10 +272,14 @@ class TestCmExplicitCase1:
         assert cm_explicit_case1(2, 2, 3, 3) == 1
 
     def test_level_one_collapses_to_c1(self):
+        # at m = 1 the lift is the identity; both closed forms must also
+        # match the convolution triangle of f_0, which reads no closed form
         spec = CaseSpec(1, a=3)
-        for n in range(1, 10):
+        t = composition_triangle(f0_prefix(spec, 60))
+        for n in range(1, 61):
             for k in range(1, n + 1):
                 assert cm_explicit_case1(3, 1, n, k) == c1_explicit(spec, n, k)
+                assert cm_explicit_case1(3, 1, n, k) == t.at(n, k), (n, k)
 
     def test_variant_overshoots_even_at_level_one(self):
         # leading term 1^(n-k) instead of 0^(n-k): every off-diagonal

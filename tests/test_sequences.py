@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import enum
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +72,43 @@ class TestBinom:
         assert binom(3, 7) == 0
 
 
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+# (value given, int stored) for Integral values that are not plain ints
+INTEGRAL_VALUES = [
+    (True, 1),
+    (False, 0),
+    (np.int64(7), 7),
+    (np.int64(-(2**63)), -(2**63)),
+    (np.uint8(255), 255),
+    (_Colour.RED, 3),
+]
+INTEGRAL_IDS = ["true", "false", "int64", "int64-min", "uint8", "intenum"]
+
+# values that are not Integral, integral-valued ones included
+NON_INTEGRAL_VALUES = [
+    2.5,
+    2.0,
+    Fraction(5, 2),
+    Fraction(4, 2),
+    Decimal("2.5"),
+    Decimal("2"),
+    "2",
+    None,
+]
+NON_INTEGRAL_IDS = [
+    "float", "float-integral", "fraction", "fraction-integral",
+    "decimal", "decimal-integral", "str", "none",
+]
+
+
+def _stored_exactly(values, expected):
+    assert list(values) == expected
+    assert all(type(v) is int for v in values)
+
+
 class TestSequence:
     def test_one_indexed_access(self):
         s = Sequence([10, 20, 30])
@@ -89,6 +130,23 @@ class TestSequence:
         with pytest.raises(TypeError):
             Sequence([1, 2.5])
 
+    def test_plain_ints_are_stored_unchanged(self):
+        big = 7**200
+        s = Sequence([big, -1, 0])
+        assert s.values[0] is big
+        _stored_exactly(s.values, [big, -1, 0])
+
+    @pytest.mark.parametrize(("value", "stored"), INTEGRAL_VALUES, ids=INTEGRAL_IDS)
+    def test_other_integrals_are_stored_as_int(self, value, stored):
+        _stored_exactly(Sequence([1, value]).values, [1, stored])
+
+    @pytest.mark.parametrize("value", NON_INTEGRAL_VALUES, ids=NON_INTEGRAL_IDS)
+    def test_non_integral_raises_type_error(self, value):
+        message = f"sequence values must be integers, got {value!r}"
+        with pytest.raises(TypeError) as raised:
+            Sequence([1, value])
+        assert str(raised.value) == message
+
     def test_equality_and_iter(self):
         assert Sequence([1, 2]) == Sequence([1, 2])
         assert list(Sequence([3, 1])) == [3, 1]
@@ -98,6 +156,19 @@ class TestTriangle:
     def test_row_shape_enforced(self):
         with pytest.raises(ValueError):
             Triangle([[1], [2, 3, 4]])
+
+    @pytest.mark.parametrize(("value", "stored"), INTEGRAL_VALUES, ids=INTEGRAL_IDS)
+    def test_other_integrals_are_stored_as_int(self, value, stored):
+        rows = Triangle([[value], [2, value]]).rows
+        _stored_exactly(rows[0], [stored])
+        _stored_exactly(rows[1], [2, stored])
+
+    @pytest.mark.parametrize("value", NON_INTEGRAL_VALUES, ids=NON_INTEGRAL_IDS)
+    def test_non_integral_raises_type_error(self, value):
+        message = f"sequence values must be integers, got {value!r}"
+        with pytest.raises(TypeError) as raised:
+            Triangle([[1], [2, value]])
+        assert str(raised.value) == message
 
     def test_at_bounds(self):
         t = Triangle([[1], [2, 3]])
