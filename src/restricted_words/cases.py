@@ -62,44 +62,74 @@ in plain ints without ever forming the irrational roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .sequences import Sequence, binom
 
 CASE_IDS = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class _CaseFields(NamedTuple):
+    case_id: int
+    a: int | None = None
+    b: int | None = None
+
+
+def _as_param(name: str, value):
+    # the rule Sequence uses for its values; numbers loads only when a
+    # value is not an exact int
+    if value is None or type(value) is int:
+        return value
+    from numbers import Integral
+
+    if isinstance(value, Integral):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class CaseSpec(_CaseFields):
     """One of the five families plus its parameters.
 
     Families 1 and 2 take the restricted-alphabet size ``a``; family 3
     takes ``a`` and the forbidden-successor count ``b`` with a > b >= 1;
     families 4 and 5 are parameter-free (base alphabet {0, 1}).
+
+    Each parameter is stored as a plain ``int``: exact ints unchanged,
+    any other ``numbers.Integral`` through ``int()``; anything else,
+    integral-valued floats and fractions included, raises
+    ``ValueError``.  A spec is an immutable named tuple, so it also
+    equals (and hashes as) the plain tuple ``(case_id, a, b)``.
     """
 
-    case_id: int
-    a: int | None = None
-    b: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.case_id not in CASE_IDS:
-            raise ValueError(f"case_id must be one of {CASE_IDS}, got {self.case_id}")
-        if self.case_id in (1, 2):
-            if self.a is None or self.a < 1:
-                raise ValueError(f"case {self.case_id} needs a >= 1")
-            if self.b is not None:
-                raise ValueError(f"case {self.case_id} takes no b parameter")
-        elif self.case_id == 3:
-            if self.a is None or self.b is None:
+    def __new__(cls, case_id: int, a: int | None = None, b: int | None = None):
+        case_id = _as_param("case_id", case_id)
+        a = _as_param("a", a)
+        b = _as_param("b", b)
+        if case_id not in CASE_IDS:
+            raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id}")
+        if case_id in (1, 2):
+            if a is None or a < 1:
+                raise ValueError(f"case {case_id} needs a >= 1")
+            if b is not None:
+                raise ValueError(f"case {case_id} takes no b parameter")
+        elif case_id == 3:
+            if a is None or b is None:
                 raise ValueError("case 3 needs both a and b")
-            if not self.a > self.b >= 1:
-                raise ValueError(f"case 3 needs a > b >= 1, got a={self.a}, b={self.b}")
+            if not a > b >= 1:
+                raise ValueError(f"case 3 needs a > b >= 1, got a={a}, b={b}")
         else:
-            if self.a is not None or self.b is not None:
-                raise ValueError(f"case {self.case_id} takes no parameters")
+            if a is not None or b is not None:
+                raise ValueError(f"case {case_id} takes no parameters")
+        return super().__new__(cls, case_id, a, b)
+
+    @classmethod
+    def _make(cls, iterable) -> CaseSpec:
+        # _replace builds through _make: check its fields as __new__ does
+        return cls(*iterable)
 
     @property
     def base_alphabet(self) -> int:

@@ -5,11 +5,14 @@ only), csv (header ``n,value`` for sequences, ``n,k,value`` for
 triangles), and a json object with keys {case, params, m, source,
 values} where values is a flat list for sequences and a list of rows
 for triangles.  All numbers render as exact decimal integers.
+
+``json`` is imported by the first json render or parse, not with this
+module, so importing the package (and every CLI call that writes no
+json) starts without it.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from .cases import CaseSpec
@@ -82,6 +85,8 @@ def parse_triangle_csv(text: str) -> Triangle:
 def render_json(
     spec: CaseSpec, m: int, source: str, payload: Sequence | Triangle
 ) -> str:
+    import json
+
     params = {}
     if spec.a is not None:
         params["a"] = spec.a
@@ -102,6 +107,8 @@ def render_json(
 
 
 def parse_json(text: str) -> dict:
+    import json
+
     doc = json.loads(text)
     missing = {"case", "params", "m", "source", "values"} - set(doc)
     if missing:

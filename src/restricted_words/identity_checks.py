@@ -13,8 +13,7 @@ from ``classics``, which computes them independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cases import (
     CaseSpec,
@@ -31,15 +30,23 @@ from .words import automaton_counts
 Checkpoint = tuple[dict[str, int], int, int]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
+    """The lowest failing checkpoint of an identity with both sides.
+
+    An immutable named tuple, so it also equals the plain tuple
+    ``(params, lhs, rhs)``."""
+
     params: dict[str, int]
     lhs: int
     rhs: int
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """What ``check_identity`` checked, and its counterexample if any.
+
+    An immutable named tuple, so it also equals the plain tuple
+    ``(name, max_n, checked, counterexample)``."""
+
     name: str
     max_n: int
     checked: int

@@ -25,14 +25,15 @@ is relied on throughout, matching Python's own ``pow``.
 numpy integers, ``int`` subclasses such as ``IntEnum`` members) is stored
 as ``int(value)``; anything else, floats, fractions and decimals with an
 integral value included, raises ``TypeError``.  So every stored value is
-exactly of type ``int``.
+exactly of type ``int``.  ``numbers`` is imported by the first value that
+is not an exact int, not with this module, so a call that stores only
+ints starts without it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from numbers import Integral
 from typing import Iterable, Iterator
 
 
@@ -53,6 +54,8 @@ def _as_int(value) -> int:
     # a plain int, and an ABC isinstance check costs many times as much
     if type(value) is int:
         return value
+    from numbers import Integral
+
     if isinstance(value, Integral):
         return int(value)
     raise TypeError(f"sequence values must be integers, got {value!r}")

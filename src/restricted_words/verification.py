@@ -28,7 +28,7 @@ catch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cases, words
 from .cases import CaseSpec
@@ -125,8 +125,12 @@ def default_grid() -> list[tuple[CaseSpec, int]]:
     return [(spec, m) for spec in specs for m in grid_levels(spec)]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
+    """One comparison: how many checks agreed, or the first mismatch.
+
+    An immutable named tuple, so it also equals the plain tuple
+    ``(label, checked, witness)``."""
+
     label: str
     checked: int
     witness: dict | None = None
@@ -142,8 +146,12 @@ class Comparison:
         return f"{self.label}: MISMATCH at {where}"
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
+    """Every comparison run at one (family, level) point.
+
+    An immutable named tuple, so it also equals the plain tuple
+    ``(spec, m, comparisons, enumerated_to)``."""
+
     spec: CaseSpec
     m: int
     comparisons: tuple[Comparison, ...]
@@ -221,9 +229,11 @@ def cross_check(
         ("automaton-vs-recurrence", "len", counts, fm),
         ("recurrence-vs-invert-transform", "n", fm, invert),
     ]
+    c1 = triangle_rows(spec, 1, N, "convolution").rows
     if m >= 1:
         cm = triangle_rows(spec, m, N, "eq3")
-        direct = triangle_rows(spec, m, N, "convolution").rows
+        # at m = 1 the transformed convolution is c1's own triangle
+        direct = c1 if m == 1 else triangle_rows(spec, m, N, "convolution").rows
         marked_rows = words.automaton_histograms(spec, m, max_len)
         rows += [
             ("recurrence-vs-triangle-row-sums", "n", fm, row_sums(cm).values),
@@ -231,7 +241,6 @@ def cross_check(
             ("marked-exhaustive-vs-triangle", "len,marks", hists, cm.rows),
             ("marked-automaton-vs-triangle", "len,marks", marked_rows, cm.rows),
         ]
-    c1 = triangle_rows(spec, 1, N, "convolution").rows
     explicit_c1 = [
         [cases.c1_explicit(spec, n, k) for k in range(1, n + 1)]
         for n in range(1, triangle_n + 1)
@@ -258,9 +267,11 @@ def cross_check(
     return CrossCheckReport(spec, m, comparisons, enum_len)
 
 
-@dataclass(frozen=True)
-class AdjudicationReport:
-    """Outcome of comparing the two family-1 leading-term candidates."""
+class AdjudicationReport(NamedTuple):
+    """Outcome of comparing the two family-1 leading-term candidates.
+
+    An immutable named tuple, so it also equals the plain tuple of its
+    six fields in order."""
 
     witness_cell: dict
     printed_value: int

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .cases import CaseSpec
@@ -498,10 +497,12 @@ def count_marked_exhaustive(
     return hist[marks] if marks <= length else 0
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(NamedTuple):
     """Total DFA with an implicit reject sink: transitions[state][letter]
-    is the next state, or -1 for rejection."""
+    is the next state, or -1 for rejection.
+
+    An immutable named tuple, so it also equals the plain tuple
+    ``(start, transitions, accepting)``."""
 
     start: int
     transitions: tuple[tuple[int, ...], ...]

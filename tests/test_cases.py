@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from conftest import GRID_POINTS, GRID_SPECS, levels_for, point_id, spec_id
 
@@ -54,6 +57,35 @@ class TestCaseSpec:
     def test_invalid_specs(self, args):
         with pytest.raises(ValueError):
             CaseSpec(**args)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (dict(case_id=2, a=2.5), "a"),
+            (dict(case_id=1, a=2.0), "a"),
+            (dict(case_id=1.0, a=2), "case_id"),
+            (dict(case_id=1, a="2"), "a"),
+            (dict(case_id=1, a=Fraction(2)), "a"),
+            (dict(case_id=3, a=3, b=1.0), "b"),
+        ],
+    )
+    def test_non_integer_parameters_refused(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            CaseSpec(**args)
+
+    def test_integral_parameters_stored_as_int(self):
+        spec = CaseSpec(np.int64(3), a=np.int32(3), b=np.uint8(1))
+        assert spec == CaseSpec(3, a=3, b=1)
+        assert all(type(value) is int for value in spec)
+        assert repr(spec) == "CaseSpec(case_id=3, a=3, b=1)"
+
+    def test_replace_checks_its_fields(self):
+        spec = CaseSpec(1, a=2)
+        assert spec._replace(a=np.int64(4)) == CaseSpec(1, a=4)
+        assert type(spec._replace(a=np.int64(4)).a) is int
+        for bad in (0, 2.0):
+            with pytest.raises(ValueError):
+                spec._replace(a=bad)
 
     def test_alphabet_sizes(self):
         assert CaseSpec(1, a=3).alphabet_size(2) == 5

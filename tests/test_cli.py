@@ -704,3 +704,36 @@ def test_cold_start_loads_no_numpy_or_process_pool():
     assert stages["words"] == ["numpy"]
     expect = count_automaton(CaseSpec(5), 2, 7)
     assert report["counts"] == [f"{expect}\n"] * 2
+
+
+# imports nothing itself but sys, so every module it reports was loaded
+# by the package; the export writes its json to stdout between the lines
+_IMPORT_GUARD_PROBE = """
+import sys
+bare = set(sys.modules)
+from restricted_words import cli
+cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - bare)))
+cli.main(["export", "--case", "4", "--m", "1", "--n", "5",
+          "--format", "json", "--out", "-"])
+print("json" in sys.modules and "json" not in bare)
+"""
+
+
+def test_cold_start_imports_no_heavy_modules():
+    # dataclasses pulls in inspect (and ast, dis, tokenize); json and
+    # numbers load on first use, numpy with the first enumeration
+    src = str(Path(restricted_words.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    added = set(lines[0].split())
+    assert "restricted_words.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "numbers", "numpy"}
+    assert json.loads("\n".join(lines[1:-1]))["case"] == 4
+    assert lines[-1] == "True"

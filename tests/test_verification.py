@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from conftest import GRID_POINTS, GRID_SPECS, point_id, spec_id
 
-from restricted_words import cases, words
+from restricted_words import cases, verification, words
 from restricted_words.cases import CaseSpec
+from restricted_words.identity_checks import Counterexample, IdentityReport
 from restricted_words.verification import (
     SEQUENCE_ROUTES,
     TRIANGLE_ROUTES,
+    AdjudicationReport,
+    Comparison,
+    CrossCheckReport,
     adjudicate_case1_leading_term,
     cross_check,
     default_grid,
     sequence_values,
     triangle_rows,
 )
-from restricted_words.words import DEFAULT_BUDGET
+from restricted_words.words import DEFAULT_BUDGET, build_dfa
 
 # closed-form route -> its coverage predicate; every other route covers all
 COVERAGE = {
@@ -85,6 +91,23 @@ def test_one_enumeration_per_point(monkeypatch):
         "marked_histogram": 0,
         "count_exhaustive": 0,
     }
+    assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("m, builds", [(0, 1), (1, 2), (2, 3)])
+def test_composition_triangles_built_per_point(monkeypatch, m, builds):
+    # c_1 from f0, the eq3 route's own triangle of f0, and at m >= 2 the
+    # triangle of the transformed sequence; at m = 1 that last one is c_1
+    real = verification.composition_triangle
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(verification, "composition_triangle", counted)
+    report = cross_check(CaseSpec(2, a=2), m, max_len=5, triangle_n=6)
+    assert len(calls) == builds
     assert report.ok, report.describe()
 
 
@@ -261,3 +284,63 @@ class TestAdjudication:
         text = adjudicate_case1_leading_term(max_n=6).describe()
         assert "corrected form confirmed" in text
         assert "m-power variant" in text
+
+
+# each record with a sample and the repr the frozen dataclasses printed
+RECORDS = [
+    (CaseSpec(3, a=3, b=1), "CaseSpec(case_id=3, a=3, b=1)"),
+    (
+        build_dfa(CaseSpec(1, a=1), 1),
+        "Dfa(start=0, transitions=((1, 0), (-1, 0)), accepting=(True, True))",
+    ),
+    (
+        Comparison("x", 3, {"n": 2, "lhs": 1, "rhs": 2}),
+        "Comparison(label='x', checked=3, witness={'n': 2, 'lhs': 1, 'rhs': 2})",
+    ),
+    (
+        CrossCheckReport(CaseSpec(4), 1, (Comparison("x", 3),), 10),
+        "CrossCheckReport(spec=CaseSpec(case_id=4, a=None, b=None), m=1, "
+        "comparisons=(Comparison(label='x', checked=3, witness=None),), "
+        "enumerated_to=10)",
+    ),
+    (
+        AdjudicationReport({"a": 1}, 1, 2, 2, Comparison("y", 4), None),
+        "AdjudicationReport(witness_cell={'a': 1}, printed_value=1, "
+        "corrected_value=2, lift_value=2, "
+        "corrected_agreement=Comparison(label='y', checked=4, witness=None), "
+        "variant_first_mismatch=None)",
+    ),
+    (Counterexample({"n": 4}, 5, 6), "Counterexample(params={'n': 4}, lhs=5, rhs=6)"),
+    (
+        IdentityReport("demo", 9, 4, Counterexample({"n": 4}, 5, 6)),
+        "IdentityReport(name='demo', max_n=9, checked=4, "
+        "counterexample=Counterexample(params={'n': 4}, lhs=5, rhs=6))",
+    ),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS]
+    )
+    def test_repr_and_immutability(self, record, text):
+        assert repr(record) == text
+        for field in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_equal_records_hash_equal(self):
+        assert CaseSpec(3, a=3, b=1) == CaseSpec(3, a=3, b=1)
+        assert hash(CaseSpec(3, a=3, b=1)) == hash(CaseSpec(3, a=3, b=1))
+        assert CaseSpec(3, a=3, b=1) != CaseSpec(3, a=3, b=2)
+        first, second = build_dfa(CaseSpec(5), 2), build_dfa(CaseSpec(5), 2)
+        assert first == second and hash(first) == hash(second)
+        # a record also equals the plain tuple of its fields
+        assert CaseSpec(3, a=3, b=1) == (3, 3, 1)
+
+    def test_case_spec_pickles(self):
+        for spec in GRID_SPECS:
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and type(copy) is CaseSpec
