@@ -5,31 +5,31 @@ Three independent routes to the same numbers:
 * ``is_valid``: a pure per-word predicate, the most literal reading of
   each family's constraint (maximal-run semantics spelled out).
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
-  given length as a head joined with a tail (the split-and-join of
-  Horowitz and Sahni).  One table holds every tail of ``t`` letters,
-  ``s**t`` the largest power of the alphabet size within 2^17 rows but
-  ``t`` at least 1 (2^20-row tables overflow a 2 MB L2 cache: the grid
-  took a third longer); another holds every head of the letters before
-  them.  One vectorized scan over contiguous letter columns, with the
-  words' end left open (and their start, for the tails), applies the
-  constraint to each table once: families 1, 3 and 4 test each pair of
-  adjacent letters against one forbidden-pair rule, and for the
-  run-length families 2 and 5 the scan counts each word's current run
-  and checks every run as it closes.  Closing an end adds the rules
-  there (family 4's first and last letter, a first or last run).  Each
-  valid head is joined with the whole tail table in one block mask, from
-  the head's last letter (and last run) and each tail's own features:
-  the same pair rule on the boundary pair, or the run across the
-  boundary checked as one run.  So every word gets its own validity bit
-  from its own letters, with no automaton and no mask shared between
-  heads.  The masks add into a counter per tail row and number of head
-  marks, and the tails' letters are folded in once per length.  A word
-  of at most ``t`` letters needs no head: it is read off the tail scan
-  at its row padded with 0s, so words that fit one table are counted by
-  one scan.  ``marked_histograms`` reads every shorter length off the
-  same two scans, a length above ``t`` as the joins of shorter heads.
-  Refuses to enumerate more than ``budget`` words, charging a one-letter
-  alphabet as two letters.
+  given length, grown one letter at a time.  Level l + 1, every word of
+  l + 1 letters in lexicographic order, is level l with every letter put
+  in front of it, and each word gets its own validity bit: its suffix's
+  bit ANDed with the rule at its own first letter.  Families 1, 3 and 4
+  test the new pair of adjacent letters against one forbidden-pair rule;
+  for the run-length families 2 and 5 a new letter unlike the first
+  closes the first run, which must be allowed.  A level keeps both ends
+  of its words open, with their first and last letter (and first and
+  last run); closing an end adds the rules there (family 4's first and
+  last letter, a first or last run).  Level l, closed at both ends, gives
+  the words of length l, with their number of marked letters grown
+  alongside.  Longer words are split and joined as Horowitz and Sahni
+  do: level ``t``, ``s**t`` the largest power of the alphabet size within
+  2^17 words but ``t`` at least 1 (2^20-word levels overflow a 2 MB L2
+  cache), holds the tails, and levels 1 to L - t the heads.  Each
+  valid head is joined with every tail in one block mask, from the
+  head's last letter (and last run) and each tail's own features: the
+  same pair rule on the boundary pair, or the run across the boundary
+  checked as one run.  So every word gets its own validity bit from its
+  own letters, with no automaton and no mask shared between heads.  The
+  masks add into a counter per tail and number of head marks, and the
+  tails' letters are folded in once per length.  ``marked_histograms``
+  reads every shorter length off the same levels.  Refuses to enumerate
+  more than ``budget`` words, charging a one-letter alphabet as two
+  letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).  The DP reaches every shorter
@@ -54,7 +54,7 @@ import itertools
 from collections import Counter, deque
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .cases import CaseSpec
+from .cases import CaseSpec, _as_param
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,6 +80,12 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+def _integers(**args) -> list:
+    # the arguments by CaseSpec's rule: exact ints kept, any other Integral
+    # through int(), anything else a ValueError that names the argument
+    return [_as_param(name, value) for name, value in args.items()]
+
+
 def _as_letters(word) -> tuple[int, ...]:
     if isinstance(word, str):
         return tuple(int(ch) for ch in word)
@@ -92,6 +98,7 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     Accepts a string of digits or an iterable of ints; every letter must
     be below the extended alphabet size.
     """
+    (m,) = _integers(m=m)
     letters = _as_letters(word)
     s = spec.alphabet_size(m)
     if any(not 0 <= x < s for x in letters):
@@ -170,6 +177,7 @@ def iter_words(
 
     The arguments and the budget are checked on the call, before the
     first word is asked for."""
+    m, length, budget = _integers(m=m, length=length, budget=budget)
     s = _enumerable_alphabet(spec, m, length, budget)
     every = itertools.product(range(s), repeat=length)
     return (word for word in every if is_valid(spec, m, word))
@@ -183,6 +191,7 @@ def max_enumerable_length(
     A one-letter alphabet has a single word per length but is charged
     as two letters, so the cap there is 2^L <= budget.
     """
+    m, budget = _integers(m=m, budget=budget)
     _check_budget(budget)
     s = _charged_letters(spec.alphabet_size(m))
     length = 0
@@ -192,11 +201,12 @@ def max_enumerable_length(
 
 
 class _Cut(NamedTuple):
-    # the first l letters of some rows, as the mask scan leaves them: ok
-    # where every rule checked so far holds, which leaves out the rules at
-    # an open end; the last letter, and the first where the start is open;
-    # for the run families 2 and 5 the length of the last run and, where
-    # the start is open, of the first run and whether it is the last
+    # words of some number of letters with both ends left open: ok where
+    # every rule inside the word holds, which leaves out the rules at its
+    # ends; the first and the last letter; for the run families 2 and 5 the
+    # lengths of the first and the last run and whether they are one run.
+    # The empty word has only ok, and for the run families a last run of
+    # length 0 in the counters' type.
     ok: np.ndarray
     first: np.ndarray | None = None
     last: np.ndarray | None = None
@@ -214,8 +224,10 @@ def _pair_rule(spec: CaseSpec) -> Callable | None:
         def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
             return (cur == nxt) & (cur < a)
     elif cid == 3:
+        # both tests of nxt first: against a column of letters only the
+        # last & then spans every new word
         def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-            return (cur == 0) & (nxt >= 1) & (nxt <= spec.b)
+            return (cur == 0) & ((nxt >= 1) & (nxt <= spec.b))
     elif cid == 4:
         # runs of 1 have length 1, a 1 is followed by a 0, a 0 is preceded
         # by a 0 or a 1-run start
@@ -238,89 +250,94 @@ def _run_ok(spec: CaseSpec, letters: np.ndarray, runs: np.ndarray) -> np.ndarray
 
 def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
     # numpy's integer remainder is several times slower than its floor
-    # division by a scalar, so test divisibility without `%`
+    # division by a scalar, so test divisibility without `%`, and by 2 with
+    # a bit mask, faster still
+    if d == 2:
+        return (runs & 1) == 0
     return runs // d * d == runs
 
 
-def _scan(spec: CaseSpec, block: np.ndarray, open_start: bool) -> Iterator[Callable]:
-    # one pass over the block's columns with every word's end left open, and
-    # its start too if open_start: after l = 0, 1, ..., L of them it yields
-    # cut(stride), the first l letters of every stride-th row as a _Cut of
-    # views into the running arrays, to be read before the scan moves on
+def _empty(spec: CaseSpec, longest: int) -> _Cut:
+    # the empty word, whose run counters (families 2 and 5) will count runs
+    # of up to `longest` letters without wrapping
     import numpy as np
 
-    n_rows, length = block.shape
-    ok = np.ones(n_rows, dtype=bool)
-    yield lambda stride: _Cut(ok[::stride])
-    if length == 0:
-        return
-    first = block[:, 0] if open_start else None
-    bad = _pair_rule(spec)
-    if bad is not None:
-        if spec.case_id == 4 and not open_start:
-            # a family-4 word cannot start on a 0
-            ok &= block[:, 0] != 0
-
-        def cut(stride: int) -> _Cut:
-            return _Cut(ok[::stride], _rows(first, stride), block[::stride, l - 1])
-
-        for l in range(1, length + 1):
-            if l > 1:
-                ok &= ~bad(block[:, l - 2], block[:, l - 1])
-            yield cut
-        return
-
-    # families 2 and 5: count the length of the current maximal run; where
-    # the letter changes, the run that just closed must be allowed, unless
-    # it was the first and the start is open.  A run is at most `length`
-    # letters long, so the counters never wrap.
-    run = np.ones(n_rows, dtype=np.min_scalar_type(length))
-    first_run = run.copy() if open_start else None
-    one_run = ok.copy() if open_start else None
-    same = np.empty(n_rows, dtype=bool)
-    prev = block[:, 0]
-
-    def cut(stride: int) -> _Cut:
-        return _Cut(
-            ok[::stride],
-            _rows(first, stride),
-            prev[::stride],
-            _rows(first_run, stride),
-            run[::stride],
-            _rows(one_run, stride),
-        )
-
-    yield cut
-    for i in range(1, length):
-        col = block[:, i]
-        np.equal(col, prev, out=same)
-        if open_start:
-            ok &= same | one_run | _run_ok(spec, prev, run)
-            one_run &= same
-            first_run += one_run
-        else:
-            ok &= same | _run_ok(spec, prev, run)
-        run *= same
-        run += 1
-        prev = col
-        yield cut
+    ok = np.ones(1, dtype=bool)
+    if _pair_rule(spec) is not None:
+        return _Cut(ok)
+    return _Cut(ok, run=np.zeros(1, dtype=np.min_scalar_type(longest)))
 
 
-def _rows(column: np.ndarray | None, stride: int) -> np.ndarray | None:
-    return None if column is None else column[::stride]
+def _spread(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # the values broadcast to the shape and written out
+    import numpy as np
+
+    out = np.empty(shape, dtype=values.dtype)
+    out[...] = values
+    return out
+
+
+def _prepend(spec: CaseSpec, cut: _Cut, letters: np.ndarray) -> _Cut:
+    # the cut's words with a letter put in front of each, both ends left
+    # open: elementwise where the letters have the cut's shape, and every
+    # letter before every word for a column of s letters against a row of
+    # n words, giving s rows of n words in lexicographic order
+    import numpy as np
+
+    if cut.last is None:
+        # each letter alone, one run of one letter
+        ok = np.ones(letters.shape, dtype=bool)
+        if cut.run is None:
+            return _Cut(ok, letters, letters)
+        run = _spread(cut.run + 1, letters.shape)
+        return _Cut(ok, letters, letters, run, run, ok.copy())
+    if cut.run is None:
+        ok = cut.ok & ~_pair_rule(spec)(letters, cut.first)
+        return _Cut(ok, _spread(letters, ok.shape), _spread(cut.last, ok.shape))
+    # a new letter unlike the first closes the first run, which must be
+    # allowed unless it is also the last, whose end is still open
+    same = letters == cut.first
+    ok = cut.ok & (same | (cut.one_run | _run_ok(spec, cut.first, cut.first_run)))
+    grows = cut.one_run & same
+    first_run = same * cut.first_run
+    first_run += 1
+    return _Cut(
+        ok,
+        _spread(letters, ok.shape),
+        _spread(cut.last, ok.shape),
+        first_run,
+        cut.run + grows,
+        grows,
+    )
+
+
+def _levels(spec: CaseSpec, m: int, top: int) -> Iterator[tuple[_Cut, np.ndarray]]:
+    # for l = 0, 1, ..., top: every word of l letters in lexicographic
+    # order, both ends open, and each word's number of marked letters
+    # (s - 1).  Level l + 1 is every letter put in front of level l.
+    import numpy as np
+
+    s = spec.alphabet_size(m)
+    column = np.arange(s, dtype=np.min_scalar_type(-s))[:, None]
+    marked = column == s - 1
+    level = _empty(spec, top)
+    marks = np.zeros(1, dtype=np.min_scalar_type(top))
+    yield level, marks
+    for _ in range(top):
+        grown = _prepend(spec, level, column)
+        level = _Cut._make(None if f is None else f.ravel() for f in grown)
+        marks = (marks + marked).ravel()
+        yield level, marks
 
 
 def _closed(
     spec: CaseSpec, cut: _Cut, start: bool = True, end: bool = True
 ) -> np.ndarray:
-    # the validity of the cut's words with the chosen ends closed, where the
-    # scan left them open; the rules at an open end are left to a join, and
-    # so is a run that reaches it
+    # the validity of the cut's words with the chosen ends closed; the rules
+    # at an open end are left to a join, and so is a run that reaches it
     ok = cut.ok.copy()
     if cut.last is None:
         return ok
-    start_open = cut.first is not None
-    start = start and start_open
     if cut.run is None:
         # family 4 cannot start on a 0 or end on the 1 that owes a 0
         if spec.case_id == 4:
@@ -334,23 +351,18 @@ def _closed(
         ok &= first_ok if end else first_ok | cut.one_run
     if end:
         last_ok = _run_ok(spec, cut.last, cut.run)
-        ok &= last_ok | cut.one_run if start_open and not start else last_ok
+        ok &= last_ok if start else last_ok | cut.one_run
     return ok
-
-
-def _valid_mask(spec: CaseSpec, m: int, block: np.ndarray) -> np.ndarray:
-    # the validity of every whole row: the scan's last cut, end closed
-    return _closed(spec, _last(_scan(spec, block, open_start=False))(1))
 
 
 def _joins(
     spec: CaseSpec, heads: _Cut, tails: _Cut
 ) -> Iterator[tuple[int, np.ndarray]]:
-    # for every head row valid with its end open, its index and the
-    # validity of the words made of it and each tail row: one block mask
-    # per head, from the head's last letter (and last run) filled into a
-    # column and the tail rows' own features.  The heads' scan closed their
-    # start, the tails' scan left it open.
+    # for every head valid with its end open, its index and the validity of
+    # the words made of it and each tail: one block mask per head, from the
+    # head's last letter (and last run) filled into a column and the tails'
+    # own features.  Both sides come with both ends open: the heads' start
+    # and the tails' end are closed here.
     import numpy as np
 
     tail_ok = _closed(spec, tails, start=False)
@@ -383,24 +395,8 @@ def _joins(
         yield i, mask
 
 
-def _word_table(s: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    # all s**length words in lexicographic order, one row per letter
-    # position so that each column of a word block is contiguous, in the
-    # smallest signed type that holds 0..s-1; and each word's number of
-    # marked letters (s - 1)
-    import numpy as np
-
-    letters = np.arange(s, dtype=np.min_scalar_type(-s))
-    cols = np.empty((length, s**length), dtype=letters.dtype)
-    marks = np.zeros(s**length, dtype=np.min_scalar_type(length))
-    for i, row in enumerate(cols):
-        row[:] = np.tile(np.repeat(letters, s ** (length - 1 - i)), s**i)
-        marks += row == s - 1
-    return cols, marks
-
-
 def _fold(acc: np.ndarray, s: int) -> np.ndarray:
-    # acc[j] counts, for every tail row, the valid words whose head holds j
+    # acc[j] counts, for every tail, the valid words whose head holds j
     # marked letters; fold the tail's letters in, first to last: a word
     # whose letter is the marked one moves from j to j + 1
     import numpy as np
@@ -418,43 +414,29 @@ def _histograms(
     spec: CaseSpec, m: int, length: int, shortest: int
 ) -> list[list[int]]:
     # counts of valid words by number of marked letters at each length l in
-    # shortest..length: a length l <= t off every s**(t - l)-th tail row,
-    # the row padded with 0s; a longer one from the joins of every head of
-    # l - t letters with the tail table
+    # shortest..length: a length l <= t off level l with both ends closed;
+    # a longer one from the joins of every head of l - t letters, level
+    # l - t, with every tail, level t
     import numpy as np
 
     s = spec.alphabet_size(m)
-    marked = s - 1
     t = min(length, 1)
     while t < length and s ** (t + 1) <= _CHUNK_ROWS:
         t += 1
-    table, tail_marks = _word_table(s, t)
     hists = []
-    # tails joined with heads need their start open; words of one table
-    # do not
-    for l, cut in enumerate(_scan(spec, table.T, open_start=t < length)):
-        if l >= shortest:
-            step = s ** (t - l)
-            hist = np.bincount(
-                tail_marks[::step][_closed(spec, cut(step))], minlength=t + 1
-            )
-            # the 0s padding a shorter word are marks only on a one-letter
-            # alphabet
-            hists.append(hist[(t - l) * (marked == 0) :][: l + 1].tolist())
-    if t == length:
-        return hists
-    # the last cut holds all t letters of every tail row
-    tails = cut(1)
-    heads, head_marks = _word_table(s, length - t)
-    for h, cut in enumerate(_scan(spec, heads.T, open_start=False)):
-        if h == 0 or t + h < shortest:
-            continue
-        # heads of h letters are the head rows padded with 0s
-        step = s ** (length - t - h)
-        marks = head_marks[::step]
-        # the narrowest type that counts all s**h heads joining a tail row
+    heads = []
+    for l, (level, marks) in enumerate(_levels(spec, m, max(t, length - t))):
+        if shortest <= l <= t:
+            hist = np.bincount(marks[_closed(spec, level)], minlength=l + 1)
+            hists.append(hist.tolist())
+        if l == t:
+            tails = level
+        if 0 < l <= length - t and t + l >= shortest:
+            heads.append((l, level, marks))
+    for h, cut, marks in heads:
+        # the narrowest type that counts all s**h heads joining a tail
         acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
-        for i, mask in _joins(spec, cut(step), tails):
+        for i, mask in _joins(spec, cut, tails):
             acc[marks[i]] += mask.view(np.uint8)
         hists.append(_fold(acc, s).tolist())
     return hists
@@ -465,6 +447,7 @@ def marked_histogram(
 ) -> list[int]:
     """Counts of valid words of the given length, bucketed by how many
     times the marked letter (the alphabet maximum) occurs."""
+    m, length, budget = _integers(m=m, length=length, budget=budget)
     _enumerable_alphabet(spec, m, length, budget)
     return _histograms(spec, m, length, length)[0]
 
@@ -476,6 +459,7 @@ def marked_histograms(
     with 0..L marked letters, as ``marked_histogram`` gives them, from one
     enumeration of the words of the given length: each shorter word is
     read off the scan at its row padded with 0s."""
+    m, length, budget = _integers(m=m, length=length, budget=budget)
     _enumerable_alphabet(spec, m, length, budget)
     return _histograms(spec, m, length, 0)
 
@@ -492,6 +476,9 @@ def count_marked_exhaustive(
 ) -> int:
     """Number of valid words with exactly ``marks`` marked letters;
     equals the triangle cell c_m(length+1, marks+1)."""
+    m, length, marks, budget = _integers(
+        m=m, length=length, marks=marks, budget=budget
+    )
     _check_marks(m, marks)
     hist = marked_histogram(spec, m, length, budget=budget)
     return hist[marks] if marks <= length else 0
@@ -530,6 +517,7 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
 
     Each family is written as a step rule ``step(state, letter)``
     giving the next state or -1, and one loop tabulates every rule."""
+    (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
     a = spec.base_alphabet
     cid = spec.case_id
@@ -672,6 +660,7 @@ def count_automaton(
 ) -> int:
     """Number of valid words of the given length by transfer-matrix DP;
     with ``marks``, only words with that many marked letters count."""
+    m, length, marks = _integers(m=m, length=length, marks=marks)
     if length < 0:
         raise ValueError("length must be >= 0")
     dfa = build_dfa(spec, m)
@@ -687,6 +676,7 @@ def count_automaton(
 def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
     """Numbers of valid words at every length 0..``length``, from one
     transfer-matrix DP pass."""
+    m, length = _integers(m=m, length=length)
     if length < 0:
         raise ValueError("length must be >= 0")
     dfa = build_dfa(spec, m)
@@ -696,6 +686,7 @@ def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
 def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]:
     """For every length L in 0..``length``, the L+1 numbers of valid words
     with 0..L marked letters, from one marked DP pass."""
+    m, length = _integers(m=m, length=length)
     if length < 0:
         raise ValueError("length must be >= 0")
     _check_marks(m)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import GRID_POINTS, point_id
+from conftest import GRID_POINTS, point_id, spec_id
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,39 @@ class TestCountExhaustive:
             )
 
 
+class TestIntegerArguments:
+    SPEC = CaseSpec(1, a=2)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda spec: marked_histogram(spec, 1, 2.0), "length"),
+            (lambda spec: marked_histograms(spec, 1.5, 3), "m"),
+            (lambda spec: max_enumerable_length(spec, 0, budget=1e6), "budget"),
+            (lambda spec: count_exhaustive(spec, 0, 3, budget=1e6), "budget"),
+            (lambda spec: count_marked_exhaustive(spec, 1, 3, 1.0), "marks"),
+            (lambda spec: iter_words(spec, 0, Fraction(2)), "length"),
+            (lambda spec: is_valid(spec, 0.0, "10"), "m"),
+            (lambda spec: build_dfa(spec, "1"), "m"),
+            (lambda spec: count_automaton(spec, 1, 3, Fraction(1)), "marks"),
+            (lambda spec: automaton_counts(spec, 1, 3.0), "length"),
+            (lambda spec: automaton_histograms(spec, 1, "3"), "length"),
+        ],
+    )
+    def test_non_integers_refused(self, call, name):
+        # refused as CaseSpec refuses its parameters, naming the argument
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(self.SPEC)
+
+    def test_other_integral_values_taken_as_ints(self):
+        spec = self.SPEC
+        assert marked_histogram(
+            spec, np.int64(1), np.int8(2), budget=np.uint32(100)
+        ) == marked_histogram(spec, 1, 2, budget=100) == [2, 4, 1]
+        assert count_marked_exhaustive(spec, True, 3, np.int16(1)) == 8
+        assert max_enumerable_length(spec, 0, budget=np.int64(1000)) == 9
+
+
 class TestMarkedCounts:
     def test_frozen_examples(self):
         assert count_marked_exhaustive(CaseSpec(2, a=1), 1, 4, 0) == 1
@@ -239,14 +273,20 @@ MASK_POINTS = [
 ]
 
 
-def _block(spec, m, rows):
-    # the dtype and column layout _histograms hands to the mask scan
-    block = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
-    return np.ascontiguousarray(block.T).T
+def _cut_of(spec, m, rows):
+    # every row's cut, grown right to left one letter at a time as
+    # _histograms grows its levels, but elementwise
+    letters = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
+    cut = words._empty(spec, letters.shape[1])
+    for column in letters.T[::-1]:
+        cut = words._prepend(spec, cut, column)
+    return cut
 
 
 def _mask_of(spec, m, rows):
-    return words._valid_mask(spec, m, _block(spec, m, rows)).tolist()
+    # rows of no letters are each the one empty word
+    mask = words._closed(spec, _cut_of(spec, m, rows))
+    return np.broadcast_to(mask, len(rows)).tolist()
 
 
 class TestRunLengthMask:
@@ -286,11 +326,9 @@ class TestRunLengthMask:
 
 def _join_of(spec, m, heads, tails):
     # every head row joined with every tail row as _histograms joins them,
-    # each side scanned on its own; a head the join skips completes no word
-    def last_cut(rows, open_start):
-        return words._last(words._scan(spec, _block(spec, m, rows), open_start))(1)
-
-    masks = dict(words._joins(spec, last_cut(heads, False), last_cut(tails, True)))
+    # each side grown on its own; a head the join skips completes no word
+    cuts = _cut_of(spec, m, heads), _cut_of(spec, m, tails)
+    masks = dict(words._joins(spec, *cuts))
     return [
         masks[i].tolist() if i in masks else [False] * len(tails)
         for i in range(len(heads))
@@ -359,20 +397,21 @@ class TestHeadTailJoin:
             assert _join_of(spec, 1, heads, tails) == [[run % period == 0]]
             assert _each_joined(spec, 1, heads, tails) == [[run % period == 0]]
 
-    def test_tail_table_scanned_once(self, monkeypatch):
-        # 16-row tables: tails of 2 of the 3 letters, 729 heads of 6
+    def test_each_level_grown_once(self, monkeypatch):
+        # 16-word levels: tails of 2 of the 3 letters, heads of up to 6
         monkeypatch.setattr(words, "_CHUNK_ROWS", 16)
-        scanned = []
-        scan = words._scan
+        grown = []
+        prepend = words._prepend
 
-        def counted(spec, block, open_start):
-            scanned.append(block.shape)
-            return scan(spec, block, open_start)
+        def counted(spec, cut, letters):
+            level = prepend(spec, cut, letters)
+            grown.append(level.ok.size)
+            return level
 
-        monkeypatch.setattr(words, "_scan", counted)
+        monkeypatch.setattr(words, "_prepend", counted)
         spec, m = CaseSpec(4), 1
         assert marked_histograms(spec, m, 8) == automaton_histograms(spec, m, 8)
-        assert scanned == [(9, 2), (729, 6)]
+        assert grown == [3, 9, 27, 81, 243, 729]
 
 
 # block sizes of 1, 4 and 16 rows, so that heads run from one letter to
@@ -463,6 +502,52 @@ class TestEveryLengthFromOneEnumeration:
             marked_histogram(spec, m, length, budget)
         assert type(every.value) is type(one.value)
         assert str(every.value) == str(one.value)
+
+
+    @pytest.mark.parametrize("length", [255, 256, 257, 258])
+    def test_long_one_letter_words(self, length):
+        # one run about 256 letters long grown through the levels
+        # themselves, where an 8-bit counter would wrap; its one letter is
+        # also the top letter
+        spec = CaseSpec(2, a=1)
+        hist = marked_histogram(spec, 0, length, budget=2**300)
+        assert hist == [0] * length + [count_automaton(spec, 0, length)]
+
+    @pytest.mark.parametrize("point", OFF_GRID_POINTS, ids=point_id)
+    def test_off_grid_points(self, point):
+        spec, m = point
+        length = max_enumerable_length(spec, m, budget=20_000)
+        hists = marked_histograms(spec, m, length, budget=20_000)
+        if m >= 1:
+            assert hists == automaton_histograms(spec, m, length)
+        else:
+            # no marked letter at m = 0: the counts alone
+            assert [sum(h) for h in hists] == automaton_counts(spec, m, length)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
+    def test_lexicographic_order(self, spec, m):
+        # every word of l letters in itertools.product's order, which
+        # _fold relies on for the tails, with its features and validity
+        s = spec.alphabet_size(m)
+        for l, (level, marks) in enumerate(words._levels(spec, m, 4)):
+            every = list(itertools.product(range(s), repeat=l))
+            assert marks.tolist() == [w.count(s - 1) for w in every]
+            assert words._closed(spec, level).tolist() == [
+                is_valid(spec, m, w) for w in every
+            ]
+            if l == 0:
+                assert level.first is None and level.last is None
+                continue
+            assert level.first.tolist() == [w[0] for w in every]
+            assert level.last.tolist() == [w[-1] for w in every]
+            if spec.case_id == 2:
+                runs = [[len(list(g)) for _, g in itertools.groupby(w)] for w in every]
+                assert level.first_run.tolist() == [r[0] for r in runs]
+                assert level.run.tolist() == [r[-1] for r in runs]
+                assert level.one_run.tolist() == [len(r) == 1 for r in runs]
 
 
 class TestIterWords:
