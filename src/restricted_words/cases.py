@@ -178,6 +178,7 @@ def _iterate(coefficients: tuple[int, ...], seeds: tuple[int, ...], N: int) -> l
 
 def f0_value(spec: CaseSpec, n: int) -> int:
     """Base count f_0(n): valid words of length n-1 over the base alphabet."""
+    n = _as_param("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     a = spec.a
@@ -190,6 +191,7 @@ def f0_value(spec: CaseSpec, n: int) -> int:
 
 def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
     """The prefix f_0(1..N)."""
+    N = _as_param("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
     if spec.case_id in (1, 2):
@@ -200,6 +202,7 @@ def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
 def fm_sequence(spec: CaseSpec, m: int, N: int) -> Sequence:
     """f_m(1..N) from the family's linear recurrence (``_recurrence``);
     N must be large enough to hold the seeds."""
+    m, N = _as_param("m", m), _as_param("N", N)
     if m < 0:
         raise ValueError("m must be >= 0")
     coefficients, seeds = _recurrence(spec, m)
@@ -296,6 +299,7 @@ def _c1_row(case_id: int, a: int | None, b: int | None, n: int) -> tuple[int, ..
 def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
     """Closed form for c_1(n,k), the weight of compositions of n into k
     parts under f_0; equals the convolution-triangle entry."""
+    n, k = _as_param("n", n), _as_param("k", k)
     _check_cell(n, k)
     return _c1_row(spec.case_id, spec.a, spec.b, n)[k - 1]
 
@@ -317,6 +321,7 @@ def _repunit_row(b: int, n: int) -> tuple[int, ...]:
 def c1_case3_repunit(b: int, n: int, k: int) -> int:
     """Family-3 closed form specialized to a = b+1, where the roots are
     1 and 1/b and the Lucas-sequence sum collapses to plain powers of b."""
+    b, n, k = _as_param("b", b), _as_param("n", n), _as_param("k", k)
     if b < 1:
         raise ValueError("b must be >= 1")
     _check_cell(n, k)
@@ -342,6 +347,7 @@ def _c2_row(a: int, n: int) -> tuple[int, ...]:
 def c2_explicit_case2(a: int, n: int, k: int) -> int:
     """Closed form for the family-2 level-2 triangle c_2(n,k); n is the
     row index, dispatched by parity."""
+    a, n, k = _as_param("a", a), _as_param("n", n), _as_param("k", k)
     if a < 1:
         raise ValueError("a must be >= 1")
     _check_cell(n, k)
@@ -367,6 +373,8 @@ def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
     The leading (i = n) term is (m-1)^(n-k) * C(n-1,k-1); summed over k
     it gives m^(n-1) by the binomial theorem.
     """
+    a, m = _as_param("a", a), _as_param("m", m)
+    n, k = _as_param("n", n), _as_param("k", k)
     if m < 1:
         raise ValueError("m must be >= 1")
     if a < 1:
@@ -383,6 +391,7 @@ def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
     """
+    m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
     corrected = cm_explicit_case1(a, m, n, k)
     return corrected + (m ** (n - k) - (m - 1) ** (n - k)) * binom(n - 1, k - 1)
 
@@ -398,6 +407,7 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
     term is the leading m^(n-1); at m = 0 the sum collapses to the
     single cell c_1(n,1) = f_0(n).
     """
+    m, n = _as_param("m", m), _as_param("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
@@ -416,11 +426,13 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
 def fm_formula_available(spec: CaseSpec, m: int) -> bool:
     """Whether :func:`fm_explicit` covers f_m at level m >= 0: every
     family at every level except family 1 at m = 0."""
+    m = _as_param("m", m)
     return not (spec.case_id == 1 and m == 0)
 
 
 def triangle_formula_available(spec: CaseSpec, m: int) -> bool:
     """Whether a closed form covers the whole level-m triangle."""
+    m = _as_param("m", m)
     if m < 1:
         return False
     if spec.case_id == 1:

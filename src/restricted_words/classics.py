@@ -15,16 +15,6 @@ counts stay independent.
 
 from __future__ import annotations
 
-CLASSIC_NAMES = (
-    "fibonacci",
-    "pell",
-    "jacobsthal",
-    "mersenne",
-    "padovan",
-    "tribonacci",
-)
-
-
 def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> int:
     # x(n) for n >= 1, where x(1), x(2), ... start with the seeds and then
     # x(j) = sum(c * x(j - d) for d, c in enumerate(coefficients, 1))
@@ -80,6 +70,8 @@ _DISPATCH = {
     "padovan": padovan,
     "tribonacci": tribonacci,
 }
+
+CLASSIC_NAMES: tuple[str, ...] = tuple(_DISPATCH)
 
 
 def classic(name: str, n: int) -> int:

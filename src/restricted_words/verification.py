@@ -5,7 +5,8 @@ implementation of each sequence and triangle route; ``explicit`` and
 ``formula`` cover only the points :func:`cases.fm_formula_available`
 and :func:`cases.triangle_formula_available` accept.  The CLI's
 ``--source`` and :func:`cross_check` both reach them through
-:func:`sequence_values` and :func:`triangle_rows`.
+:func:`sequence_values` and :func:`triangle_rows`; :func:`cross_check`
+gets ``eq3`` by lifting the level-1 ``convolution`` triangle, f_0's own.
 
 For one family and extension level this harness compares, cell by cell
 and entry by entry: exhaustive counts, automaton counts, recurrence
@@ -229,11 +230,10 @@ def cross_check(
         ("automaton-vs-recurrence", "len", counts, fm),
         ("recurrence-vs-invert-transform", "n", fm, invert),
     ]
-    c1 = triangle_rows(spec, 1, N, "convolution").rows
+    c1 = triangle_rows(spec, 1, N, "convolution")
     if m >= 1:
-        cm = triangle_rows(spec, m, N, "eq3")
-        # at m = 1 the transformed convolution is c1's own triangle
-        direct = c1 if m == 1 else triangle_rows(spec, m, N, "convolution").rows
+        cm = lift_triangle(c1, m)
+        direct = c1.rows if m == 1 else triangle_rows(spec, m, N, "convolution").rows
         marked_rows = words.automaton_histograms(spec, m, max_len)
         rows += [
             ("recurrence-vs-triangle-row-sums", "n", fm, row_sums(cm).values),
@@ -245,7 +245,7 @@ def cross_check(
         [cases.c1_explicit(spec, n, k) for k in range(1, n + 1)]
         for n in range(1, triangle_n + 1)
     ]
-    rows.append(("explicit-c1-vs-convolution", "n,k", explicit_c1, c1))
+    rows.append(("explicit-c1-vs-convolution", "n,k", explicit_c1, c1.rows))
     if spec.case_id == 3 and spec.a == spec.b + 1:
         repunit = [
             [cases.c1_case3_repunit(spec.b, n, k) for k in range(1, n + 1)]

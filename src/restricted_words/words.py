@@ -32,11 +32,14 @@ Three independent routes to the same numbers:
   letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
-  enumeration range (length 500 and up).  The DP reaches every shorter
-  length on its way, so ``automaton_counts`` (counts at lengths 0..N)
-  and ``automaton_histograms`` (counts by number of marked letters at
-  lengths 0..N) read a whole sequence or triangle off one pass instead
-  of recounting each prefix.
+  enumeration range (length 500 and up).  One loop steps the DFA's
+  counting quotient, 2 blocks for families 1-3 and 3 for 4-5, whose
+  states count alike at every length (Kemeny and Snell's lumpability);
+  plain words are counted with no marked letter and at most 0 marks.
+  It reaches every shorter length on its way, so ``automaton_counts``
+  (counts at lengths 0..N) and ``automaton_histograms`` (counts by
+  number of marked letters at lengths 0..N) read a whole sequence or
+  triangle off one pass instead of recounting each prefix.
 
 numpy is imported by the first enumeration, not with this module, so
 importing the package (and every CLI call that enumerates nothing)
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .cases import CaseSpec, _as_param
@@ -92,6 +96,12 @@ def _as_letters(word) -> tuple[int, ...]:
     return tuple(int(x) for x in word)
 
 
+def _checked_letters(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
+    if any(not 0 <= x < s for x in letters):
+        raise ValueError(f"letters must lie in 0..{s - 1}")
+    return letters
+
+
 def is_valid(spec: CaseSpec, m: int, word) -> bool:
     """Whether a word satisfies the family's constraint.
 
@@ -99,10 +109,8 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     be below the extended alphabet size.
     """
     (m,) = _integers(m=m)
-    letters = _as_letters(word)
     s = spec.alphabet_size(m)
-    if any(not 0 <= x < s for x in letters):
-        raise ValueError(f"letters must lie in 0..{s - 1}")
+    letters = _checked_letters(_as_letters(word), s)
     a = spec.base_alphabet
     cid = spec.case_id
     if cid == 1:
@@ -504,8 +512,9 @@ class Dfa(NamedTuple):
         return len(self.transitions[0])
 
     def accepts(self, word: Iterable[int]) -> bool:
+        """Whether it accepts the word; a letter past the alphabet raises ValueError."""
         state = self.start
-        for letter in word:
+        for letter in _checked_letters(tuple(word), self.alphabet_size):
             state = self.transitions[state][letter]
             if state < 0:
                 return False
@@ -588,64 +597,57 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     return Dfa(0, trans, accepting)
 
 
-def _live_moves(dfa: Dfa, letters: range) -> list[list[tuple[int, int]]]:
-    # per state, each target the given letters reach, with how many of them
-    # lead there; moves into the reject sink are dropped
-    return [
-        list(Counter(row[x] for x in letters if row[x] >= 0).items())
-        for row in dfa.transitions
-    ]
+@lru_cache(maxsize=None)
+def _lumped(spec: CaseSpec, m: int, marked: bool) -> tuple:
+    """The start block, each block's ``((target, marked letter), letters)``
+    moves and acceptance; a block splits until its states send equally
+    many live letters to each block, the marked (top) letter apart."""
+    dfa = build_dfa(spec, m)
+    mark = dfa.alphabet_size - 1 if marked else -1
+    block = [0] * dfa.state_count
+    while True:
+        keys = [
+            (block[st], accepts, frozenset(Counter(
+                (block[to], x == mark) for x, to in enumerate(row) if to >= 0
+            ).items()))
+            for st, (row, accepts) in enumerate(zip(dfa.transitions, dfa.accepting))
+        ]
+        ids: dict = {}
+        refined = [ids.setdefault(key, len(ids)) for key in keys]
+        if refined == block:
+            _, accepting, moves = zip(*ids)
+            return block[dfa.start], moves, accepting
+        block = refined
 
 
-def _occupancies(dfa: Dfa, length: int) -> Iterator[list[int]]:
-    # number of words reaching each state after 0, 1, ..., length letters
-    moves = _live_moves(dfa, range(dfa.alphabet_size))
-    occ = [0] * dfa.state_count
-    occ[dfa.start] = 1
-    yield occ
-    for _ in range(length):
-        nxt = [0] * dfa.state_count
-        for st, weight in enumerate(occ):
-            if weight == 0:
-                continue
-            for to, k in moves[st]:
-                nxt[to] += k * weight
-        occ = nxt
-        yield occ
-
-
-def _marked_occupancies(
-    dfa: Dfa, length: int, cap: int
-) -> Iterator[list[list[int]]]:
-    # occupancy layered by number of marked letters seen, after 0, 1, ...,
-    # length letters; words with more than cap marks are dropped
-    marked = dfa.alphabet_size - 1
-    moves = _live_moves(dfa, range(marked))
-    occ = [[0] * (cap + 1) for _ in range(dfa.state_count)]
-    occ[dfa.start][0] = 1
-    yield occ
-    for _ in range(length):
-        nxt = [[0] * (cap + 1) for _ in range(dfa.state_count)]
-        for st, layers in enumerate(occ):
-            to_marked = dfa.transitions[st][marked]
-            for j, weight in enumerate(layers):
-                if weight == 0:
-                    continue
-                for to, k in moves[st]:
-                    nxt[to][j] += k * weight
-                if to_marked >= 0 and j < cap:
-                    nxt[to_marked][j + 1] += weight
-        occ = nxt
-        yield occ
+def _accepted_counts(
+    spec: CaseSpec, m: int, length: int, cap: int, marked: bool
+) -> Iterator[list[int]]:
+    # for each length 0..length, the valid words with 0..cap marks.  Cell
+    # j * blocks + b counts the words taking block b to acceptance with j
+    # marks; a letter put in front sends each count back along each move
+    start, moves, accepting = _lumped(spec, m, marked)
+    blocks = len(moves)
+    back = [[] for _ in range(blocks * (cap + 1))]
+    for b, out in enumerate(moves):
+        for (to, shift), k in out:
+            for j in range(cap + 1 - shift):
+                back[j * blocks + to].append(((j + shift) * blocks + b, k))
+    occ = [int(accepts) for accepts in accepting] + [0] * (blocks * cap)
+    for step in range(length + 1):
+        if step:
+            nxt = [0] * len(occ)
+            for weight, out in zip(occ, back):
+                if weight:
+                    for to, k in out:
+                        nxt[to] += k * weight
+            occ = nxt
+        yield occ[start::blocks]
 
 
 def _last(steps: Iterator):
     # the final step, holding no earlier one
     return deque(steps, maxlen=1)[0]
-
-
-def _accepted(dfa: Dfa, occ: list) -> list:
-    return [w for st, w in enumerate(occ) if dfa.accepting[st]]
 
 
 def _check_marks(m: int, marks: int = 0) -> None:
@@ -663,14 +665,12 @@ def count_automaton(
     m, length, marks = _integers(m=m, length=length, marks=marks)
     if length < 0:
         raise ValueError("length must be >= 0")
-    dfa = build_dfa(spec, m)
     if marks is None:
-        return sum(_accepted(dfa, _last(_occupancies(dfa, length))))
+        return _last(_accepted_counts(spec, m, length, 0, False))[0]
     _check_marks(m, marks)
     if marks > length:
         return 0
-    occ = _last(_marked_occupancies(dfa, length, marks))
-    return sum(layers[marks] for layers in _accepted(dfa, occ))
+    return _last(_accepted_counts(spec, m, length, marks, True))[marks]
 
 
 def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
@@ -679,8 +679,7 @@ def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
     m, length = _integers(m=m, length=length)
     if length < 0:
         raise ValueError("length must be >= 0")
-    dfa = build_dfa(spec, m)
-    return [sum(_accepted(dfa, occ)) for occ in _occupancies(dfa, length)]
+    return [row[0] for row in _accepted_counts(spec, m, length, 0, False)]
 
 
 def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]:
@@ -690,8 +689,5 @@ def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]
     if length < 0:
         raise ValueError("length must be >= 0")
     _check_marks(m)
-    dfa = build_dfa(spec, m)
-    return [
-        [sum(col) for col in zip(*_accepted(dfa, occ))][: L + 1]
-        for L, occ in enumerate(_marked_occupancies(dfa, length, length))
-    ]
+    rows = _accepted_counts(spec, m, length, length, True)
+    return [row[: L + 1] for L, row in enumerate(rows)]

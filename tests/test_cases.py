@@ -19,6 +19,7 @@ from restricted_words.cases import (
     f0_prefix,
     f0_value,
     fm_explicit,
+    fm_formula_available,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_value,
@@ -29,6 +30,46 @@ from restricted_words.sequences import (
     invert_power,
     lift_triangle,
 )
+
+
+# each public function of cases with integer arguments, and the names of
+# its trailing arguments that must be integers; at n = 70 a numpy int64
+# that is not taken as an exact int overflows in the powers
+INTEGER_ARGUMENT_CALLS = [
+    (f0_value, (CaseSpec(1, a=3), 70), "n"),
+    (f0_prefix, (CaseSpec(4), 6), "N"),
+    (fm_sequence, (CaseSpec(5), 2, 8), "m N"),
+    (c1_explicit, (CaseSpec(3, a=3, b=1), 6, 2), "n k"),
+    (c1_case3_repunit, (2, 6, 2), "b n k"),
+    (c2_explicit_case2, (2, 7, 3), "a n k"),
+    (cm_explicit_case1, (2, 3, 70, 1), "a m n k"),
+    (cm_explicit_case1_alt, (2, 3, 70, 1), "a m n k"),
+    (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
+    (fm_formula_available, (CaseSpec(1, a=2), 0), "m"),
+    (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
+    (triangle_formula_value, (CaseSpec(2, a=2), 2, 7, 3), "m n k"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, names",
+    INTEGER_ARGUMENT_CALLS,
+    ids=[func.__name__ for func, _, _ in INTEGER_ARGUMENT_CALLS],
+)
+def test_integer_arguments(func, args, names):
+    # floats are refused as CaseSpec refuses them, naming the argument;
+    # numpy ints are taken as exact ints
+    expect = func(*args)
+    names = names.split()
+    for i, name in enumerate(names, start=len(args) - len(names)):
+        for value in (float(args[i]), args[i] + 0.5, np.int64(args[i])):
+            call = args[:i] + (value,) + args[i + 1 :]
+            if isinstance(value, float):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                    func(*call)
+            else:
+                got = func(*call)
+                assert got == expect and type(got) is type(expect), name
 
 
 class TestCaseSpec:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -586,6 +587,14 @@ class TestDfa:
         dfa = build_dfa(CaseSpec(5), 1)
         assert dfa.accepting == (True, False, True, False, False, True)
 
+    def test_letters_outside_the_alphabet_refused(self):
+        # as is_valid refuses them, even after a rejecting prefix (0, 0)
+        spec, m = CaseSpec(1, a=2), 1
+        for word in ([-1], [3], [0, 0, -1]):
+            for check in (build_dfa(spec, m).accepts, lambda w: is_valid(spec, m, w)):
+                with pytest.raises(ValueError, match=r"^letters must lie in 0\.\.2$"):
+                    check(word)
+
     @pytest.mark.parametrize("point", GRID_POINTS + OFF_GRID_POINTS, ids=point_id)
     def test_language_equals_predicate(self, point):
         spec, m = point
@@ -689,6 +698,93 @@ class TestAutomatonOnePass:
         with pytest.raises(ValueError) as per_cell:
             count_automaton(CaseSpec(4), 0, 3, 1)
         assert str(one_pass.value) == str(per_cell.value)
+
+
+def _full_dfa_rows(dfa, length, cap, marked):
+    # the reference: the DP over every state of the DFA, not its blocks.
+    # After 0, 1, ..., length letters, the accepted words by number of
+    # marked letters 0..cap, the marked letter being the top one when
+    # marked; words with more than cap marks are dropped
+    mark = dfa.alphabet_size - 1 if marked else -1
+    moves = [
+        Counter((to, int(x == mark)) for x, to in enumerate(row) if to >= 0)
+        for row in dfa.transitions
+    ]
+    occ = [[0] * (cap + 1) for _ in moves]
+    occ[dfa.start][0] = 1
+    rows = []
+    for step in range(length + 1):
+        if step:
+            nxt = [[0] * (cap + 1) for _ in moves]
+            for layers, out in zip(occ, moves):
+                for (to, shift), k in out.items():
+                    for j in range(cap + 1 - shift):
+                        nxt[to][j + shift] += k * layers[j]
+            occ = nxt
+        accepted = [layers for layers, acc in zip(occ, dfa.accepting) if acc]
+        rows.append([sum(col) for col in zip(*accepted)])
+    return rows
+
+
+@pytest.fixture
+def fresh_quotients():
+    # the quotients are cached per (spec, m, marked); a test that
+    # substitutes build_dfa must not read or leave a stale one
+    words._lumped.cache_clear()
+    yield
+    words._lumped.cache_clear()
+
+
+# a DFA in which the marked letter (1) splits the accepting block: states
+# 0 and 1 both send one letter to each block, but state 0's marked letter
+# leads to the rejecting state 2 and state 1's to the accepting state 1
+MARK_SPLIT_DFA = words.Dfa(0, ((1, 2), (2, 1), (0, 0)), (True, True, False))
+
+
+class TestLumpedAutomaton:
+    @pytest.mark.parametrize("point", BLOCK_POINTS, ids=point_id)
+    def test_counts_match_full_dfa(self, point):
+        spec, m = point
+        rows = _full_dfa_rows(build_dfa(spec, m), 200, 0, False)
+        assert automaton_counts(spec, m, 200) == [row[0] for row in rows]
+        assert [count_automaton(spec, m, length) for length in range(31)] == [
+            row[0] for row in rows[:31]
+        ]
+
+    @pytest.mark.parametrize(
+        "point", [p for p in BLOCK_POINTS if p[1] >= 1], ids=point_id
+    )
+    def test_histograms_match_full_dfa(self, point):
+        spec, m = point
+        rows = _full_dfa_rows(build_dfa(spec, m), 200, 200, True)
+        assert automaton_histograms(spec, m, 200) == [
+            row[: length + 1] for length, row in enumerate(rows)
+        ]
+        # every marks count, one past the length included
+        for length in range(31):
+            assert [
+                count_automaton(spec, m, length, marks) for marks in range(length + 2)
+            ] == rows[length][: length + 2], length
+
+    @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
+    def test_block_counts(self, point):
+        spec, m = point
+        blocks = 2 if spec.case_id <= 3 else 3
+        for marked in (False, True)[: 1 + (m >= 1)]:
+            start, moves, accepting = words._lumped(spec, m, marked)
+            assert len(moves) == len(accepting) == blocks, marked
+
+    def test_marked_letter_splits_blocks(self, monkeypatch, fresh_quotients):
+        monkeypatch.setattr(words, "build_dfa", lambda spec, m: MARK_SPLIT_DFA)
+        spec, m = CaseSpec(1, a=1), 1
+        assert len(words._lumped(spec, m, False)[1]) == 2
+        assert len(words._lumped(spec, m, True)[1]) == 3
+        rows = _full_dfa_rows(MARK_SPLIT_DFA, 40, 40, True)
+        assert rows[2] == [0, 2, 1] + [0] * 38
+        assert automaton_histograms(spec, m, 40) == [
+            row[: length + 1] for length, row in enumerate(rows)
+        ]
+        assert automaton_counts(spec, m, 40) == [sum(row) for row in rows]
 
 
 class TestMaxEnumerableLength:
