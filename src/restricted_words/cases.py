@@ -66,7 +66,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .sequences import Sequence, binom
+from .sequences import Sequence, _as_param, binom
 
 CASE_IDS = (1, 2, 3, 4, 5)
 
@@ -75,18 +75,6 @@ class _CaseFields(NamedTuple):
     case_id: int
     a: int | None = None
     b: int | None = None
-
-
-def _as_param(name: str, value):
-    # the rule Sequence uses for its values; numbers loads only when a
-    # value is not an exact int
-    if value is None or type(value) is int:
-        return value
-    from numbers import Integral
-
-    if isinstance(value, Integral):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class CaseSpec(_CaseFields):
@@ -200,15 +188,13 @@ def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
 
 
 def fm_sequence(spec: CaseSpec, m: int, N: int) -> Sequence:
-    """f_m(1..N) from the family's linear recurrence (``_recurrence``);
-    N must be large enough to hold the seeds."""
+    """f_m(1..N) from the family's linear recurrence (``_recurrence``)."""
     m, N = _as_param("m", m), _as_param("N", N)
     if m < 0:
         raise ValueError("m must be >= 0")
-    coefficients, seeds = _recurrence(spec, m)
-    if N < len(seeds):
-        raise ValueError(f"N must be >= {len(seeds)} for case {spec.case_id}")
-    return Sequence(_iterate(coefficients, seeds, N))
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return Sequence(_iterate(*_recurrence(spec, m), N))
 
 
 def _check_cell(n: int, k: int) -> None:

@@ -10,10 +10,23 @@ Padovan numbers differently.
 
 Each sequence is computed here from its own recurrence (or 2^n - 1) and
 nothing is imported from ``cases``, so comparisons against the family
-counts stay independent.
+counts stay independent.  n is taken by the package's integer rule
+(``sequences._as_param``): a float raises ``ValueError`` and a numpy
+integer is used as an exact int.
 """
 
 from __future__ import annotations
+
+from .sequences import _as_param
+
+
+def _index(n, first: int = 1) -> int:
+    # n by the package's integer rule, refused below the first index
+    n = _as_param("n", n)
+    if n < first:
+        raise ValueError(f"n must be >= {first}")
+    return n
+
 
 def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> int:
     # x(n) for n >= 1, where x(1), x(2), ... start with the seeds and then
@@ -26,40 +39,28 @@ def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> in
 
 
 def fibonacci(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _linear(n, (1, 1), (1, 1))
+    return _linear(_index(n), (1, 1), (1, 1))
 
 
 def pell(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _linear(n, (1, 2), (2, 1))
+    return _linear(_index(n), (1, 2), (2, 1))
 
 
 def jacobsthal(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _linear(n, (1, 1), (1, 2))
+    return _linear(_index(n), (1, 1), (1, 2))
 
 
 def mersenne(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2**n - 1
+    return 2 ** _index(n) - 1
 
 
 def tribonacci(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _linear(n, (1, 1, 2), (1, 1, 1))
+    return _linear(_index(n), (1, 1, 2), (1, 1, 1))
 
 
 def padovan(n: int) -> int:
-    if n < 3:
-        raise ValueError("padovan is defined for n >= 3 here")
     # P(3), P(4), P(5) = 1, 0, 1 and P(n) = P(n-2) + P(n-3)
-    return _linear(n - 2, (1, 0, 1), (0, 1, 1))
+    return _linear(_index(n, 3) - 2, (1, 0, 1), (0, 1, 1))
 
 
 _DISPATCH = {

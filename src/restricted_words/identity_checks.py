@@ -24,7 +24,7 @@ from .cases import (
     fm_explicit,
 )
 from .classics import fibonacci, jacobsthal, pell, tribonacci
-from .sequences import Sequence, binom, composition_triangle
+from .sequences import Sequence, _as_param, binom, composition_triangle
 from .words import automaton_counts
 
 Checkpoint = tuple[dict[str, int], int, int]
@@ -186,6 +186,7 @@ def check_identity(name: str, max_n: int = 30) -> IdentityReport:
         raise ValueError(
             f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}"
         ) from None
+    max_n = _as_param("max_n", max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     checked = 0

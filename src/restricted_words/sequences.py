@@ -15,6 +15,9 @@ is obtained from the 1-fold one by the lift
 
     c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) * C(i-1,k-1) * c_1(n,i).
 
+Both the m-fold transform B = A/(1-mA) and the lift hold for every
+integer m: a negative m undoes the transform, A = B/(1+mB).
+
 Everything here is pure and exact: values are Python ints of arbitrary
 precision, sequences are immutable, and all indices are 1-based (f(1) is
 the first entry; there is no entry at index 0).  The convention 0**0 = 1
@@ -28,6 +31,9 @@ integral value included, raises ``TypeError``.  So every stored value is
 exactly of type ``int``.  ``numbers`` is imported by the first value that
 is not an exact int, not with this module, so a call that stores only
 ints starts without it.
+
+Integer arguments, here and in the other modules, go through the same
+rule in ``_as_param``, which raises ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -59,6 +65,18 @@ def _as_int(value) -> int:
     if isinstance(value, Integral):
         return int(value)
     raise TypeError(f"sequence values must be integers, got {value!r}")
+
+
+def _as_param(name: str, value):
+    # the same rule for an argument: exact ints (and None) kept, any other
+    # Integral through int(), anything else a ValueError naming it
+    if value is None or type(value) is int:
+        return value
+    from numbers import Integral
+
+    if isinstance(value, Integral):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Sequence:
@@ -177,11 +195,10 @@ def invert_power(f: Sequence | Iterable[int], m: int) -> Sequence:
 
     Coefficient-wise: b(n) = f(n) + m * sum_{i=1}^{n-1} f(i) * b(n-i).
     Equals m successive applications of :func:`invert`; m = 0 returns the
-    input unchanged.
+    input unchanged, and a negative m undoes -m of them.
     """
     f = as_sequence(f)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _as_param("m", m)
     if m == 0:
         return f
     vals = f.values
@@ -226,10 +243,10 @@ def lift_triangle(c1: Triangle, m: int) -> Triangle:
 
     c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) * C(i-1,k-1) * c1(n,i).  For m = 1
     only the i = k term survives (0**0 = 1) and the input is returned value
-    for value.
+    for value.  The sum holds for every integer m: lifting the triangle
+    of f gives the triangle of ``invert_power(f, m - 1)``.
     """
-    if m < 1:
-        raise ValueError("the lift is defined for m >= 1")
+    m = _as_param("m", m)
     size = c1.size
     powers = [(m - 1) ** d for d in range(size)]
     # weights[k-1][i-k] = (m-1)^(i-k) * C(i-1, k-1) for k <= i <= size

@@ -35,6 +35,7 @@ from . import cases, words
 from .cases import CaseSpec
 from .sequences import (
     Triangle,
+    _as_param,
     composition_triangle,
     invert_power,
     lift_triangle,
@@ -43,14 +44,9 @@ from .sequences import (
 from .words import DEFAULT_BUDGET
 
 
-def _recurrence(spec: CaseSpec, m: int, N: int) -> list[int]:
-    seq = cases.fm_sequence(spec, m, max(N, spec.seed_count))
-    return [seq.at(n) for n in range(1, N + 1)]
-
-
 # name -> (spec, m, N) -> f_m(1..N); every route gives the same integers
 SEQUENCE_ROUTES = {
-    "recurrence": _recurrence,
+    "recurrence": lambda spec, m, N: list(cases.fm_sequence(spec, m, N)),
     "invert": lambda spec, m, N: list(invert_power(cases.f0_prefix(spec, N), m)),
     "explicit": lambda spec, m, N: [
         cases.fm_explicit(spec, m, n) for n in range(1, N + 1)
@@ -214,9 +210,11 @@ def cross_check(
     by the budget); ``triangle_n`` bounds triangle and sequence indices
     for the formula comparisons.
     """
+    max_len = _as_param("max_len", max_len)
+    triangle_n = _as_param("triangle_n", triangle_n)
     if max_len < 0 or triangle_n < 1:
         raise ValueError("max_len must be >= 0 and triangle_n >= 1")
-    N = max(triangle_n, max_len + 2, spec.seed_count)
+    N = max(triangle_n, max_len + 2)
     fm = sequence_values(spec, m, N, "recurrence")
     enum_len = min(max_len, words.max_enumerable_length(spec, m, budget))
     # one enumeration serves every length, plain and marked checks alike
@@ -312,6 +310,9 @@ class AdjudicationReport(NamedTuple):
 
 def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
     """Demonstrate which family-1 c_m leading term matches the lift."""
+    max_n = _as_param("max_n", max_n)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     witness = {"a": 1, "m": 2, "n": 2, "k": 1}
     lift_at = triangle_rows(CaseSpec(1, a=1), 2, 2, "eq3").at(2, 1)
     printed = cases.cm_explicit_case1_alt(1, 2, 2, 1)

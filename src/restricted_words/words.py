@@ -39,7 +39,10 @@ Three independent routes to the same numbers:
   It reaches every shorter length on its way, so ``automaton_counts``
   (counts at lengths 0..N) and ``automaton_histograms`` (counts by
   number of marked letters at lengths 0..N) read a whole sequence or
-  triangle off one pass instead of recounting each prefix.
+  triangle off one pass instead of recounting each prefix.  A DFA whose
+  table would hold more than ``DEFAULT_BUDGET`` moves (states times
+  letters; family 1 at a = 2000 has 2001 x 2000) raises
+  ``BudgetExceeded`` before any move is tabulated.
 
 numpy is imported by the first enumeration, not with this module, so
 importing the package (and every CLI call that enumerates nothing)
@@ -58,7 +61,8 @@ from collections import Counter, deque
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .cases import CaseSpec, _as_param
+from .cases import CaseSpec
+from .sequences import _as_param
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,17 +73,20 @@ _CHUNK_ROWS = 1 << 17
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised instead of silently truncating an over-budget enumeration.
+    """Raised instead of silently truncating an over-budget enumeration,
+    or instead of tabulating an automaton of more than ``DEFAULT_BUDGET``
+    moves.
 
     ``required`` is the number of words the enumeration is charged for,
     ``s**length`` with a one-letter alphabet charged as two letters, or
     None where it was not computed: for words longer than 64 letters,
     when the budget has fewer bits than the word has letters, so the
-    charge is certainly over it.  ``words`` is how the message names
-    what would be enumerated."""
+    charge is certainly over it.  For an automaton it is the number of
+    moves, states times letters.  ``work`` is how the message names
+    what would be done."""
 
-    def __init__(self, required: int | None, budget: int, words: str) -> None:
-        super().__init__(f"enumerating {words} exceeds the budget of {budget}")
+    def __init__(self, required: int | None, budget: int, work: str) -> None:
+        super().__init__(f"{work} exceeds the budget of {budget}")
         self.required = required
         self.budget = budget
 
@@ -174,7 +181,7 @@ def _enumerable_alphabet(spec: CaseSpec, m: int, length: int, budget: int) -> in
             if s > 1
             else f"the one word of length {length}, charged as {count} words,"
         )
-        raise BudgetExceeded(required, budget, words)
+        raise BudgetExceeded(required, budget, f"enumerating {words}")
     return s
 
 
@@ -512,9 +519,11 @@ class Dfa(NamedTuple):
         return len(self.transitions[0])
 
     def accepts(self, word: Iterable[int]) -> bool:
-        """Whether it accepts the word; a letter past the alphabet raises ValueError."""
+        """Whether it accepts the word, read as :func:`is_valid` reads it:
+        a string of digits or an iterable of ints, every letter below the
+        alphabet size."""
         state = self.start
-        for letter in _checked_letters(tuple(word), self.alphabet_size):
+        for letter in _checked_letters(_as_letters(word), self.alphabet_size):
             state = self.transitions[state][letter]
             if state < 0:
                 return False
@@ -525,7 +534,9 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     """Hand-built automaton recognizing exactly the valid words.
 
     Each family is written as a step rule ``step(state, letter)``
-    giving the next state or -1, and one loop tabulates every rule."""
+    giving the next state or -1, and one loop tabulates every rule.  A
+    table of more than ``DEFAULT_BUDGET`` moves raises
+    :class:`BudgetExceeded` before any move is tabulated."""
     (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
     a = spec.base_alphabet
@@ -593,7 +604,15 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
             return -1
 
         accepting = (True, False, True, False, False, True)
-    trans = tuple(tuple(step(st, x) for x in range(s)) for st in range(len(accepting)))
+    states = len(accepting)
+    moves = states * s
+    if moves > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            moves,
+            DEFAULT_BUDGET,
+            f"tabulating the automaton's {states} states x {s} letters = {moves} moves",
+        )
+    trans = tuple(tuple(step(st, x) for x in range(s)) for st in range(states))
     return Dfa(0, trans, accepting)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from restricted_words.cases import CaseSpec
 
 # every (family, parameters) point exercised by the cross-checks
@@ -34,3 +37,20 @@ def spec_id(spec: CaseSpec) -> str:
 def point_id(point: tuple[CaseSpec, int]) -> str:
     spec, m = point
     return f"{spec_id(spec)}-m{m}"
+
+
+def assert_integer_arguments(func, args: tuple, names: str) -> None:
+    """``names`` lists ``func``'s trailing arguments that must be integers.
+    Floats there are refused with a ValueError naming the argument, and
+    numpy ints give the same result as exact ints."""
+    expect = func(*args)
+    names = names.split()
+    for i, name in enumerate(names, start=len(args) - len(names)):
+        for value in (float(args[i]), args[i] + 0.5, np.int64(args[i])):
+            call = args[:i] + (value,) + args[i + 1 :]
+            if isinstance(value, float):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                    func(*call)
+            else:
+                got = func(*call)
+                assert got == expect and type(got) is type(expect), name

@@ -52,7 +52,7 @@ def test_criterion_1_grid_cross_verification(capsys):
     checked = 0
     for spec, m in GRID_POINTS:
         top = max_enumerable_length(spec, m, budget=ENUM_BUDGET)
-        seq = fm_sequence(spec, m, max(top + 1, spec.seed_count))
+        seq = fm_sequence(spec, m, top + 1)
         inv = invert_power(f0_prefix(spec, top + 1), m)
         sums = None
         if m >= 1:
@@ -91,7 +91,7 @@ def test_criterion_2_marked_counts(capsys):
             continue
         top = max_enumerable_length(spec, m, budget=ENUM_BUDGET)
         tri = composition_triangle(invert_power(f0_prefix(spec, top + 1), m - 1))
-        seq = fm_sequence(spec, m, max(top + 1, spec.seed_count))
+        seq = fm_sequence(spec, m, top + 1)
         for length in range(top + 1):
             n = length + 1
             hist = marked_histogram(spec, m, length, budget=ENUM_BUDGET)

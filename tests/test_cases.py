@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import GRID_POINTS, GRID_SPECS, levels_for, point_id, spec_id
+from conftest import (
+    GRID_POINTS,
+    GRID_SPECS,
+    assert_integer_arguments,
+    levels_for,
+    point_id,
+    spec_id,
+)
 
 from restricted_words import cases
 from restricted_words.cases import (
@@ -59,17 +66,7 @@ INTEGER_ARGUMENT_CALLS = [
 def test_integer_arguments(func, args, names):
     # floats are refused as CaseSpec refuses them, naming the argument;
     # numpy ints are taken as exact ints
-    expect = func(*args)
-    names = names.split()
-    for i, name in enumerate(names, start=len(args) - len(names)):
-        for value in (float(args[i]), args[i] + 0.5, np.int64(args[i])):
-            call = args[:i] + (value,) + args[i + 1 :]
-            if isinstance(value, float):
-                with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-                    func(*call)
-            else:
-                got = func(*call)
-                assert got == expect and type(got) is type(expect), name
+    assert_integer_arguments(func, args, names)
 
 
 class TestCaseSpec:
@@ -199,11 +196,15 @@ class TestFmSequence:
     def test_frozen_rows_at_level_three(self, spec, row):
         assert list(fm_sequence(spec, 3, 8)) == row
 
-    def test_too_short_for_seeds(self):
-        with pytest.raises(ValueError):
-            fm_sequence(CaseSpec(1, a=2), 1, 1)
-        with pytest.raises(ValueError):
-            fm_sequence(CaseSpec(5), 1, 2)
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+    def test_prefix_below_seed_count(self, spec):
+        # fewer terms than seeds are the first terms of a longer call
+        for m in levels_for(spec):
+            longer = list(fm_sequence(spec, m, 8))
+            for N in range(1, spec.seed_count + 1):
+                assert list(fm_sequence(spec, m, N)) == longer[:N]
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            fm_sequence(spec, 1, 0)
 
     def test_negative_m(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import assert_integer_arguments
 
 from restricted_words import cases
 from restricted_words.cases import CaseSpec, f0_prefix, fm_sequence
@@ -29,6 +30,16 @@ def test_prefixes():
     assert [jacobsthal(n) for n in range(1, 8)] == [1, 1, 3, 5, 11, 21, 43]
     assert [tribonacci(n) for n in range(1, 8)] == [1, 1, 2, 4, 7, 13, 24]
     assert [padovan(n) for n in range(3, 11)] == [1, 0, 1, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "func",
+    [fibonacci, pell, jacobsthal, mersenne, tribonacci, padovan],
+    ids=lambda func: func.__name__,
+)
+def test_integer_n(func):
+    # at n = 70 a numpy int64 wraps; mersenne(np.int64(70)) gave -1
+    assert_integer_arguments(func, (70,), "n")
 
 
 def test_domain_errors():

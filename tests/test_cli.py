@@ -429,6 +429,27 @@ def test_words_refuses_very_long_one_letter_words_quickly(capsys, extra):
     assert result == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "--m", "0", "--n", "3", "--source", "automaton"],
+        ["verify", "--m", "0"],
+    ],
+    ids=["seq", "verify"],
+)
+def test_oversized_automaton_refused_quickly(capsys, argv):
+    # family 1 at a = 2000 has 2001 states x 2000 letters; the table is
+    # refused before it is built
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv, "--case", "1", "--a", "2000")
+    assert time.perf_counter() - start < 5
+    err = (
+        "error: tabulating the automaton's 2001 states x 2000 letters = "
+        "4002000 moves exceeds the budget of 2000000\n"
+    )
+    assert result == (2, "", err)
+
+
 def test_words_marks_without_marked_letter_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "words", "--case", "4", "--m", "0", "--len", "3", "--marks", "1"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import assert_integer_arguments
 
 from restricted_words import cases, identity_checks
 from restricted_words.identity_checks import (
@@ -98,3 +99,7 @@ def test_case3_product_reports_the_broken_cell(monkeypatch):
     # checks run n = 1..6 (2n each), then n = 7 for b = 2, then k = 1..4
     assert report.checked == 42 + 7 + 4
     assert report.counterexample.rhs == report.counterexample.lhs + 2**4
+
+
+def test_integer_max_n():
+    assert_integer_arguments(check_identity, ("mersenne-sum", 20), "max_n")

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_integer_arguments
+
 from restricted_words.sequences import (
     Sequence,
     Triangle,
@@ -214,9 +216,11 @@ class TestInvertPower:
     def test_zero_is_identity(self):
         assert invert_power([3, 1, 4], 0) == Sequence([3, 1, 4])
 
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            invert_power([1], -1)
+    @given(seqs, st.integers(min_value=-6, max_value=6))
+    @settings(max_examples=60)
+    def test_negative_m_undoes_transform(self, f, m):
+        # B = A/(1 - mA) gives back A = B/(1 + mB)
+        assert invert_power(invert_power(f, m), -m) == Sequence(f)
 
 
 class TestCompositionTriangle:
@@ -259,11 +263,6 @@ class TestLiftTriangle:
         t = composition_triangle([1, 2, 3, 4])
         assert lift_triangle(t, 1) == t
 
-    def test_lift_rejects_zero(self):
-        t = composition_triangle([1])
-        with pytest.raises(ValueError):
-            lift_triangle(t, 0)
-
     def test_aerated_ones_level_2_cell(self):
         # words counted by 1,0,1,0,...: c_2(4,2) = 5
         c1 = composition_triangle([1, 0, 1, 0, 1])
@@ -271,11 +270,12 @@ class TestLiftTriangle:
         assert c2.at(4, 2) == 5
         assert c2.at(5, 2) == 10
 
-    @given(seqs, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40)
+    @given(seqs, st.integers(min_value=-5, max_value=5))
+    @settings(max_examples=60)
     def test_lift_matches_triangle_of_transform(self, f, m):
         # c_m computed by lifting equals the triangle built directly from
-        # the (m-1)-th transform of f, whose row sums give the m-th.
+        # the (m-1)-th transform of f, whose row sums give the m-th; at
+        # every integer m, m <= 0 included.
         c1 = composition_triangle(f)
         lifted = lift_triangle(c1, m)
         direct = composition_triangle(invert_power(f, m - 1))
@@ -286,3 +286,16 @@ class TestLiftTriangle:
     def test_lift_row_sums_give_mth_transform(self, f, m):
         c1 = composition_triangle(f)
         assert row_sums(lift_triangle(c1, m)) == invert_power(f, m)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (invert_power, ([1] * 20, 70)),
+        (lift_triangle, (composition_triangle([1] * 20), 70)),
+    ],
+    ids=["invert_power", "lift_triangle"],
+)
+def test_integer_m(func, args):
+    # a numpy m would wrap past 2**63 at these sizes; floats are refused
+    assert_integer_arguments(func, args, "m")

@@ -2,8 +2,15 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
-from conftest import GRID_POINTS, GRID_SPECS, point_id, spec_id
+from conftest import (
+    GRID_POINTS,
+    GRID_SPECS,
+    assert_integer_arguments,
+    point_id,
+    spec_id,
+)
 
 from restricted_words import cases, verification, words
 from restricted_words.cases import CaseSpec
@@ -344,3 +351,31 @@ class TestRecords:
         for spec in GRID_SPECS:
             copy = pickle.loads(pickle.dumps(spec))
             assert copy == spec and type(copy) is CaseSpec
+
+
+@pytest.mark.parametrize(
+    "get, source",
+    [(sequence_values, "invert"), (triangle_rows, "convolution"), (triangle_rows, "eq3")],
+    ids=["invert", "convolution", "eq3"],
+)
+def test_numpy_m_gives_exact_values(get, source):
+    # at m = 5 and N = 40 the values pass 2**63, where a numpy m wraps
+    spec = CaseSpec(1, a=3)
+    assert get(spec, np.int64(5), 40, source) == get(spec, 5, 40, source)
+
+
+@pytest.mark.parametrize(
+    "func, args, names",
+    [
+        (cross_check, (CaseSpec(2, a=2), 2, 5, 6), "max_len triangle_n"),
+        (adjudicate_case1_leading_term, (4,), "max_n"),
+    ],
+    ids=["cross_check", "adjudicate_case1_leading_term"],
+)
+def test_integer_bounds(func, args, names):
+    assert_integer_arguments(func, args, names)
+
+
+def test_adjudication_refuses_max_n_below_one():
+    with pytest.raises(ValueError, match="^max_n must be >= 1$"):
+        adjudicate_case1_leading_term(0)

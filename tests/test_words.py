@@ -595,6 +595,32 @@ class TestDfa:
                 with pytest.raises(ValueError, match=r"^letters must lie in 0\.\.2$"):
                     check(word)
 
+    def test_reads_words_as_is_valid_does(self):
+        spec, m = CaseSpec(1, a=2), 1
+        for word in ("01", "00", "", (0, 2, 2)):
+            assert build_dfa(spec, m).accepts(word) == is_valid(spec, m, word)
+
+    def test_oversized_table_refused(self):
+        # family 1 at a = 2000 has 2001 states x 2000 letters, over the
+        # budget's 2000000 moves: every automaton route refuses it
+        spec = CaseSpec(1, a=2000)
+        calls = [
+            lambda: build_dfa(spec, 0),
+            lambda: count_automaton(spec, 0, 3),
+            lambda: count_automaton(spec, 1, 3, 1),
+            lambda: automaton_counts(spec, 0, 3),
+            lambda: automaton_histograms(spec, 1, 3),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetExceeded) as exc:
+                call()
+            assert exc.value.budget == DEFAULT_BUDGET
+        assert exc.value.required == 2001 * 2001
+        assert str(exc.value) == (
+            "tabulating the automaton's 2001 states x 2001 letters = 4004001 "
+            f"moves exceeds the budget of {DEFAULT_BUDGET}"
+        )
+
     @pytest.mark.parametrize("point", GRID_POINTS + OFF_GRID_POINTS, ids=point_id)
     def test_language_equals_predicate(self, point):
         spec, m = point
