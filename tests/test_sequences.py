@@ -263,6 +263,15 @@ class TestLiftTriangle:
         t = composition_triangle([1, 2, 3, 4])
         assert lift_triangle(t, 1) == t
 
+    def test_lift_at_zero_gives_f_back(self):
+        # m = 0 is accepted: the lift is the triangle of the inverse
+        # transform of f, and its row sums are f itself.
+        f = [1, 2, 3, 4, 5]
+        c0 = lift_triangle(composition_triangle(f), 0)
+        assert list(invert_power(f, -1)) == [1, 1, 0, -1, -1]
+        assert c0 == composition_triangle([1, 1, 0, -1, -1])
+        assert list(row_sums(c0)) == f
+
     def test_aerated_ones_level_2_cell(self):
         # words counted by 1,0,1,0,...: c_2(4,2) = 5
         c1 = composition_triangle([1, 0, 1, 0, 1])
