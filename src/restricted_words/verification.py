@@ -12,9 +12,9 @@ For one family and extension level this harness compares, cell by cell
 and entry by entry: exhaustive counts, automaton counts, recurrence
 values, invert-transform values, triangle row sums, marked-word counts
 against triangle cells, each closed form against the convolution
-triangle, and the triangle lift against the directly-built triangle of
-the transformed base sequence.  Every comparison is reported with the
-number of agreeing checks or the first mismatch witness.
+triangle, and, at m >= 2, the triangle lift against the directly-built
+triangle of the transformed base sequence.  Every comparison is reported
+with the number of agreeing checks or the first mismatch witness.
 
 The harness also adjudicates the two candidate leading terms of the
 family-1 expanded c_m formula: the implemented (m-1)-power form agrees
@@ -83,6 +83,7 @@ def _from_route(routes: dict, kind: str, spec: CaseSpec, m: int, N: int, source:
         )
     if kind == "triangle" and m < 1:
         raise ValueError("triangles need --m >= 1")
+    N = _as_param("N", N)
     if N < 1:
         raise ValueError("--n must be >= 1")
     covers = _COVERAGE.get(source)
@@ -231,11 +232,13 @@ def cross_check(
     c1 = triangle_rows(spec, 1, N, "convolution")
     if m >= 1:
         cm = lift_triangle(c1, m)
-        direct = c1.rows if m == 1 else triangle_rows(spec, m, N, "convolution").rows
+        rows.append(("recurrence-vs-triangle-row-sums", "n", fm, row_sums(cm).values))
+        # at m = 1 the lift is c_1 itself, so there is nothing to compare
+        if m >= 2:
+            direct = triangle_rows(spec, m, N, "convolution").rows
+            rows.append(("lift-vs-transformed-convolution", "n,k", cm.rows, direct))
         marked_rows = words.automaton_histograms(spec, m, max_len)
         rows += [
-            ("recurrence-vs-triangle-row-sums", "n", fm, row_sums(cm).values),
-            ("lift-vs-transformed-convolution", "n,k", cm.rows, direct),
             ("marked-exhaustive-vs-triangle", "len,marks", hists, cm.rows),
             ("marked-automaton-vs-triangle", "len,marks", marked_rows, cm.rows),
         ]

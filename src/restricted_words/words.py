@@ -32,17 +32,20 @@ Three independent routes to the same numbers:
   letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
-  enumeration range (length 500 and up).  One loop steps the DFA's
-  counting quotient, 2 blocks for families 1-3 and 3 for 4-5, whose
-  states count alike at every length (Kemeny and Snell's lumpability);
-  plain words are counted with no marked letter and at most 0 marks.
-  It reaches every shorter length on its way, so ``automaton_counts``
-  (counts at lengths 0..N) and ``automaton_histograms`` (counts by
-  number of marked letters at lengths 0..N) read a whole sequence or
-  triangle off one pass instead of recounting each prefix.  A DFA whose
-  table would hold more than ``DEFAULT_BUDGET`` moves (states times
-  letters; family 1 at a = 2000 has 2001 x 2000) raises
-  ``BudgetExceeded`` before any move is tabulated.
+  enumeration range (length 500 and up).  One loop steps the counting
+  quotient of the m = 1 DFA, 2 blocks for families 1-3 and 3 for 4-5,
+  whose states count alike at every length (Kemeny and Snell's
+  lumpability).  The m free letters of level m move as the m = 1 DFA's
+  one does, so one quotient per family serves every level: m - 1 free
+  letters add no mark and the marked one adds one, and plain level-m
+  words are the level-(m + 1) words with no mark.  It reaches every
+  shorter length on its way, so ``automaton_counts`` (counts at lengths
+  0..N) and ``automaton_histograms`` (counts by number of marked
+  letters at lengths 0..N) read a whole sequence or triangle off one
+  pass instead of recounting each prefix.  An m = 1 DFA whose table
+  would hold more than ``DEFAULT_BUDGET`` moves (states times letters;
+  family 1 at a = 2000 has 2001 x 2001) raises ``BudgetExceeded``
+  before any move is tabulated.
 
 numpy is imported by the first enumeration, not with this module, so
 importing the package (and every CLI call that enumerates nothing)
@@ -98,9 +101,15 @@ def _integers(**args) -> list:
 
 
 def _as_letters(word) -> tuple[int, ...]:
+    # a string's letters are its digits; any other word's are integers by
+    # the rule for arguments
     if isinstance(word, str):
-        return tuple(int(ch) for ch in word)
-    return tuple(int(x) for x in word)
+        if not all("0" <= ch <= "9" for ch in word):
+            raise ValueError(
+                f"a word given as a string must be digits, got {word!r}"
+            )
+        return tuple(map(int, word))
+    return tuple(_as_param("letter", x) for x in word)
 
 
 def _checked_letters(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -112,8 +121,8 @@ def _checked_letters(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
 def is_valid(spec: CaseSpec, m: int, word) -> bool:
     """Whether a word satisfies the family's constraint.
 
-    Accepts a string of digits or an iterable of ints; every letter must
-    be below the extended alphabet size.
+    Accepts a string of digits or an iterable of integers; every letter
+    must be below the extended alphabet size.
     """
     (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
@@ -617,41 +626,54 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
 
 
 @lru_cache(maxsize=None)
-def _lumped(spec: CaseSpec, m: int, marked: bool) -> tuple:
-    """The start block, each block's ``((target, marked letter), letters)``
-    moves and acceptance; a block splits until its states send equally
-    many live letters to each block, the marked (top) letter apart."""
-    dfa = build_dfa(spec, m)
-    mark = dfa.alphabet_size - 1 if marked else -1
+def _lumped(spec: CaseSpec) -> tuple:
+    """The counting quotient of the m = 1 table, one for every level: the
+    start block, ``T0`` and ``U``, and each block's acceptance.
+    ``T0[b][c]`` counts the base letters and ``U[b][c]`` the free letter
+    taking block b into block c.  A block splits until its states send
+    equally many base letters, and the free letter, to each block; the m
+    free letters of level m all move as that one does."""
+    dfa = build_dfa(spec, 1)
+    free = spec.base_alphabet
     block = [0] * dfa.state_count
     while True:
         keys = [
             (block[st], accepts, frozenset(Counter(
-                (block[to], x == mark) for x, to in enumerate(row) if to >= 0
+                (block[to], x == free) for x, to in enumerate(row) if to >= 0
             ).items()))
             for st, (row, accepts) in enumerate(zip(dfa.transitions, dfa.accepting))
         ]
         ids: dict = {}
         refined = [ids.setdefault(key, len(ids)) for key in keys]
         if refined == block:
-            _, accepting, moves = zip(*ids)
-            return block[dfa.start], moves, accepting
+            break
         block = refined
+    _, accepting, moves = zip(*ids)
+    blocks = range(len(ids))
+    T0, U = (
+        tuple(tuple(dict(out).get((c, is_free), 0) for c in blocks) for out in moves)
+        for is_free in (False, True)
+    )
+    return block[dfa.start], T0, U, accepting
 
 
 def _accepted_counts(
-    spec: CaseSpec, m: int, length: int, cap: int, marked: bool
+    spec: CaseSpec, m: int, length: int, cap: int
 ) -> Iterator[list[int]]:
-    # for each length 0..length, the valid words with 0..cap marks.  Cell
+    # for each length 0..length, the level-m words with 0..cap marks.  Cell
     # j * blocks + b counts the words taking block b to acceptance with j
-    # marks; a letter put in front sends each count back along each move
-    start, moves, accepting = _lumped(spec, m, marked)
-    blocks = len(moves)
+    # marks; a letter put in front sends each count back along each move:
+    # the base letters and m - 1 free letters add no mark, the marked one
+    # adds one
+    start, T0, U, accepting = _lumped(spec)
+    blocks = len(accepting)
     back = [[] for _ in range(blocks * (cap + 1))]
-    for b, out in enumerate(moves):
-        for (to, shift), k in out:
-            for j in range(cap + 1 - shift):
-                back[j * blocks + to].append(((j + shift) * blocks + b, k))
+    for b, (base, free) in enumerate(zip(T0, U)):
+        for to in range(blocks):
+            for shift, k in enumerate((base[to] + (m - 1) * free[to], free[to])):
+                if k:
+                    for j in range(cap + 1 - shift):
+                        back[j * blocks + to].append(((j + shift) * blocks + b, k))
     occ = [int(accepts) for accepts in accepting] + [0] * (blocks * cap)
     for step in range(length + 1):
         if step:
@@ -662,6 +684,13 @@ def _accepted_counts(
                         nxt[to] += k * weight
             occ = nxt
         yield occ[start::blocks]
+
+
+def _plain_counts(spec: CaseSpec, m: int, length: int) -> Iterator[list[int]]:
+    # the level-m words are the level-(m + 1) words with no mark
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return _accepted_counts(spec, m + 1, length, 0)
 
 
 def _last(steps: Iterator):
@@ -685,11 +714,11 @@ def count_automaton(
     if length < 0:
         raise ValueError("length must be >= 0")
     if marks is None:
-        return _last(_accepted_counts(spec, m, length, 0, False))[0]
+        return _last(_plain_counts(spec, m, length))[0]
     _check_marks(m, marks)
     if marks > length:
         return 0
-    return _last(_accepted_counts(spec, m, length, marks, True))[marks]
+    return _last(_accepted_counts(spec, m, length, marks))[marks]
 
 
 def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
@@ -698,7 +727,7 @@ def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
     m, length = _integers(m=m, length=length)
     if length < 0:
         raise ValueError("length must be >= 0")
-    return [row[0] for row in _accepted_counts(spec, m, length, 0, False)]
+    return [row[0] for row in _plain_counts(spec, m, length)]
 
 
 def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]:
@@ -708,5 +737,5 @@ def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]
     if length < 0:
         raise ValueError("length must be >= 0")
     _check_marks(m)
-    rows = _accepted_counts(spec, m, length, length, True)
+    rows = _accepted_counts(spec, m, length, length)
     return [row[: L + 1] for L, row in enumerate(rows)]

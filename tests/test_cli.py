@@ -438,14 +438,14 @@ def test_words_refuses_very_long_one_letter_words_quickly(capsys, extra):
     ids=["seq", "verify"],
 )
 def test_oversized_automaton_refused_quickly(capsys, argv):
-    # family 1 at a = 2000 has 2001 states x 2000 letters; the table is
-    # refused before it is built
+    # family 1 at a = 2000 has 2001 states; the automaton route builds the
+    # m = 1 table of 2001 letters, which is refused before it is built
     start = time.perf_counter()
     result = run_cli(capsys, *argv, "--case", "1", "--a", "2000")
     assert time.perf_counter() - start < 5
     err = (
-        "error: tabulating the automaton's 2001 states x 2000 letters = "
-        "4002000 moves exceeds the budget of 2000000\n"
+        "error: tabulating the automaton's 2001 states x 2001 letters = "
+        "4004001 moves exceeds the budget of 2000000\n"
     )
     assert result == (2, "", err)
 

@@ -104,7 +104,7 @@ def test_one_enumeration_per_point(monkeypatch):
 @pytest.mark.parametrize("m, builds", [(0, 1), (1, 1), (2, 2)])
 def test_composition_triangles_built_per_point(monkeypatch, m, builds):
     # c_1 from f0, which the eq3 lift reuses, and at m >= 2 the triangle
-    # of the transformed sequence; at m = 1 that last one is c_1
+    # of the transformed sequence
     real = verification.composition_triangle
     calls = []
 
@@ -151,6 +151,47 @@ def test_one_automaton_pass_per_sequence(monkeypatch):
         "automaton_counts": 1,
         "automaton_histograms": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "m, witness",
+    [
+        (1, {"explicit-c1-vs-convolution": (3, 2)}),
+        (
+            2,
+            {
+                "explicit-c1-vs-convolution": (3, 2),
+                "lift-vs-transformed-convolution": (3, 1),
+            },
+        ),
+    ],
+)
+def test_corrupted_composition_triangle_is_caught(monkeypatch, m, witness):
+    # one wrong cell (3, 2) in every triangle built.  At m >= 2 the lift of
+    # c_1 and the transformed sequence's own triangle part; at m = 1 both
+    # would be c_1, so that line is not reported, and c_1's closed form
+    # catches the cell
+    real = verification.composition_triangle
+
+    def corrupt(f):
+        rows = [list(row) for row in real(f).rows]
+        rows[2][1] += 1
+        return verification.Triangle(rows)
+
+    monkeypatch.setattr(verification, "composition_triangle", corrupt)
+    report = cross_check(CaseSpec(2, a=2), m, max_len=5, triangle_n=6)
+    found = {c.label: c.witness for c in report.comparisons}
+    assert ("lift-vs-transformed-convolution" in found) == (m >= 2)
+    for label, cell in witness.items():
+        assert (found[label]["n"], found[label]["k"]) == cell, label
+
+
+def test_one_quotient_per_family():
+    # every level, plain and marked, steps its family's one quotient
+    words._lumped.cache_clear()
+    for spec, m in default_grid():
+        assert cross_check(spec, m).ok
+    assert words._lumped.cache_info().currsize == len(GRID_SPECS) == 12
 
 
 def test_broken_automaton_is_caught(monkeypatch):
@@ -374,6 +415,18 @@ def test_numpy_m_gives_exact_values(get, source):
 )
 def test_integer_bounds(func, args, names):
     assert_integer_arguments(func, args, names)
+
+
+@pytest.mark.parametrize(
+    "get, source",
+    [(sequence_values, source) for source in SEQUENCE_ROUTES]
+    + [(triangle_rows, source) for source in TRIANGLE_ROUTES],
+)
+def test_routes_take_N_by_the_integer_rule(get, source):
+    spec, m = CaseSpec(2, a=2), 2
+    with pytest.raises(ValueError, match=r"^N must be an integer, got 2\.5$"):
+        get(spec, m, 2.5, source)
+    assert get(spec, m, np.int64(6), source) == get(spec, m, 6, source)
 
 
 def test_adjudication_refuses_max_n_below_one():

@@ -91,6 +91,20 @@ class TestIsValid:
         assert is_valid(CaseSpec(4), 0, [1, 0, 0])
         assert is_valid(CaseSpec(4), 0, (1, 0))
 
+    def test_letters_by_the_integer_rule(self):
+        # floats are refused, not truncated, and a string must be digits;
+        # other integer types are read as ints, by the DFA as well
+        spec, m = CaseSpec(1, a=2), 0
+        not_int = r"^letter must be an integer, got 1\.5$"
+        not_digits = "^a word given as a string must be digits, got '1 1'$"
+        for check in (lambda w: is_valid(spec, m, w), build_dfa(spec, m).accepts):
+            with pytest.raises(ValueError, match=not_int):
+                check([1.5, 1.2])
+            with pytest.raises(ValueError, match=not_digits):
+                check("1 1")
+            assert check([np.int64(1), np.uint8(0), True]) is True
+            assert check(np.array([1, 1])) is False
+
 
 class TestCountExhaustive:
     def test_frozen_examples(self):
@@ -601,12 +615,14 @@ class TestDfa:
             assert build_dfa(spec, m).accepts(word) == is_valid(spec, m, word)
 
     def test_oversized_table_refused(self):
-        # family 1 at a = 2000 has 2001 states x 2000 letters, over the
-        # budget's 2000000 moves: every automaton route refuses it
+        # family 1 at a = 2000 has 2001 states; every counting route builds
+        # the m = 1 table, 2001 x 2001 moves, over the budget's 2000000,
+        # and refuses it at every level
         spec = CaseSpec(1, a=2000)
         calls = [
-            lambda: build_dfa(spec, 0),
+            lambda: build_dfa(spec, 1),
             lambda: count_automaton(spec, 0, 3),
+            lambda: count_automaton(spec, 5, 3),
             lambda: count_automaton(spec, 1, 3, 1),
             lambda: automaton_counts(spec, 0, 3),
             lambda: automaton_histograms(spec, 1, 3),
@@ -615,11 +631,30 @@ class TestDfa:
             with pytest.raises(BudgetExceeded) as exc:
                 call()
             assert exc.value.budget == DEFAULT_BUDGET
-        assert exc.value.required == 2001 * 2001
-        assert str(exc.value) == (
-            "tabulating the automaton's 2001 states x 2001 letters = 4004001 "
-            f"moves exceeds the budget of {DEFAULT_BUDGET}"
-        )
+            assert exc.value.required == 2001 * 2001
+            assert str(exc.value) == (
+                "tabulating the automaton's 2001 states x 2001 letters = 4004001 "
+                f"moves exceeds the budget of {DEFAULT_BUDGET}"
+            )
+        with pytest.raises(BudgetExceeded, match="2001 states x 2000 letters"):
+            build_dfa(spec, 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        sorted({spec for spec, _ in GRID_POINTS + OFF_GRID_POINTS}, key=spec_id),
+        ids=spec_id,
+    )
+    def test_free_letters_move_alike(self, spec):
+        # the one quotient of the m = 1 table serves every level because
+        # every level's table is that one with its free column (the last)
+        # dropped at m = 0 or repeated m times
+        one = build_dfa(spec, 1)
+        for m in range(7):
+            dfa = build_dfa(spec, m)
+            assert (dfa.start, dfa.accepting) == (one.start, one.accepting)
+            assert dfa.transitions == tuple(
+                row[:-1] + row[-1:] * m for row in one.transitions
+            ), m
 
     @pytest.mark.parametrize("point", GRID_POINTS + OFF_GRID_POINTS, ids=point_id)
     def test_language_equals_predicate(self, point):
@@ -672,6 +707,18 @@ class TestCountAutomaton:
     def test_marked_level_zero_rejected(self):
         with pytest.raises(ValueError):
             count_automaton(CaseSpec(4), 0, 3, 1)
+
+    @pytest.mark.parametrize(
+        "spec", [CaseSpec(1, a=2), CaseSpec(4), CaseSpec(5)], ids=spec_id
+    )
+    def test_huge_level(self, spec):
+        # a table at m = 10**6 would hold millions of moves; the quotient
+        # of the m = 1 table weighs its free letter by m instead
+        m = 10**6
+        start = time.perf_counter()
+        got = [count_automaton(spec, m, length) for length in range(6)]
+        assert time.perf_counter() - start < 1
+        assert got == list(fm_sequence(spec, m, 6))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -754,7 +801,7 @@ def _full_dfa_rows(dfa, length, cap, marked):
 
 @pytest.fixture
 def fresh_quotients():
-    # the quotients are cached per (spec, m, marked); a test that
+    # the quotients are cached per spec; a test that
     # substitutes build_dfa must not read or leave a stale one
     words._lumped.cache_clear()
     yield
@@ -794,23 +841,39 @@ class TestLumpedAutomaton:
 
     @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
     def test_block_counts(self, point):
-        spec, m = point
+        # every level of a family steps the family's one quotient
+        spec = point[0]
         blocks = 2 if spec.case_id <= 3 else 3
-        for marked in (False, True)[: 1 + (m >= 1)]:
-            start, moves, accepting = words._lumped(spec, m, marked)
-            assert len(moves) == len(accepting) == blocks, marked
+        start, T0, U, accepting = words._lumped(spec)
+        assert len(accepting) == blocks
+        assert [len(row) for row in T0 + U] == [blocks] * (2 * blocks)
 
     def test_marked_letter_splits_blocks(self, monkeypatch, fresh_quotients):
-        monkeypatch.setattr(words, "build_dfa", lambda spec, m: MARK_SPLIT_DFA)
-        spec, m = CaseSpec(1, a=1), 1
-        assert len(words._lumped(spec, m, False)[1]) == 2
-        assert len(words._lumped(spec, m, True)[1]) == 3
-        rows = _full_dfa_rows(MARK_SPLIT_DFA, 40, 40, True)
-        assert rows[2] == [0, 2, 1] + [0] * 38
-        assert automaton_histograms(spec, m, 40) == [
-            row[: length + 1] for length, row in enumerate(rows)
-        ]
-        assert automaton_counts(spec, m, 40) == [sum(row) for row in rows]
+        # a substitute whose free letter (1) repeats with m, as build_dfa's
+        # does
+        def split_dfa(spec, m):
+            return MARK_SPLIT_DFA._replace(transitions=tuple(
+                row[:1] + row[1:] * m for row in MARK_SPLIT_DFA.transitions
+            ))
+
+        monkeypatch.setattr(words, "build_dfa", split_dfa)
+        spec = CaseSpec(1, a=1)
+        # with the letters not told apart, states 0 and 1 would be one block
+        # of 2 at m = 1, though not at m = 2; the free letter apart, 3
+        alike = [0, 0, 1]
+        sent = [Counter(alike[to] for to in row) for row in MARK_SPLIT_DFA.transitions]
+        assert sent[0] == sent[1]
+        assert len(words._lumped(spec)[3]) == 3
+        assert _full_dfa_rows(split_dfa(spec, 1), 2, 2, True)[2] == [0, 2, 1]
+        for m in range(4):
+            dfa = split_dfa(spec, m)
+            plain = _full_dfa_rows(dfa, 40, 0, False)
+            assert automaton_counts(spec, m, 40) == [row[0] for row in plain], m
+            if m >= 1:
+                rows = _full_dfa_rows(dfa, 40, 40, True)
+                assert automaton_histograms(spec, m, 40) == [
+                    row[: length + 1] for length, row in enumerate(rows)
+                ], m
 
 
 class TestMaxEnumerableLength:
