@@ -16,7 +16,6 @@ from .cases import (
     f0_prefix,
     f0_value,
     fm_explicit,
-    fm_formula_available,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_value,
@@ -98,7 +97,6 @@ __all__ = [
     "f0_prefix",
     "f0_value",
     "fm_explicit",
-    "fm_formula_available",
     "fm_sequence",
     "invert",
     "invert_power",

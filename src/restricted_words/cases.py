@@ -21,9 +21,10 @@ enforce this cell by cell).
 Each family's recurrence is written once, as a table row of coefficients
 and seeds (``_recurrence``); ``fm_sequence`` iterates it at any m, and
 ``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 keep their
-closed-form f_0).  The closed form for c_m(n,k) lifts one closed-form
-c_1 row through the single ``_lift`` sum; the one for f_m(n) weights
-that row by m^(i-1), the lift summed over k.
+closed-form f_0).  The closed forms cover every family at every level:
+c_m(n,k), m >= 1, lifts one closed-form c_1 row through the single
+``_lift`` sum (family 2's c_2 has a closed form of its own), and f_m(n),
+m >= 0, weights that row by m^(i-1), the lift summed over k.
 
 Each closed form is evaluated one row per (parameters, n): ``_c1_row``
 keyed by (family, a, b, n), ``_c2_row`` by (a, n) and ``_repunit_row``
@@ -383,59 +384,42 @@ def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
 
 
 def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
-    """Closed form for f_m(n).
+    """Closed form for f_m(n), m >= 0, for every family: the closed-form
+    c_1 row lifted to level m and summed over k.
 
-    Family 2 (m >= 0): sum over j of m^(n-2j-1) a^j C(n-1-j, j).
-    Families 1 (m >= 1) and 3-5 (m >= 0): the closed-form c_1 row lifted
-    to level m and summed over k.  By the binomial theorem the lift's
-    weights (m-1)^(i-k) C(i-1,k-1) sum over k to m^(i-1), so this is
-    the single sum over i of m^(i-1) c_1(n,i).  For family 1 the i = n
-    term is the leading m^(n-1); at m = 0 the sum collapses to the
-    single cell c_1(n,1) = f_0(n).
+    By the binomial theorem the lift's weights (m-1)^(i-k) C(i-1,k-1)
+    sum over k to m^(i-1), so this is the single sum over i of
+    m^(i-1) c_1(n,i).  For family 1 the i = n term is the leading
+    m^(n-1); for family 2 the nonzero cells i = n-2j give the terms
+    m^(n-2j-1) a^j C(n-1-j, j); at m = 0 the sum collapses to the single
+    cell c_1(n,1) = f_0(n).
     """
     m, n = _as_param("m", m), _as_param("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if not fm_formula_available(spec, m):
-        raise ValueError("family 1 closed form needs m >= 1")
-    if spec.case_id == 2:
-        return sum(
-            m ** (n - 2 * j - 1) * spec.a**j * binom(n - 1 - j, j)
-            for j in range((n - 1) // 2 + 1)
-        )
     row = _c1_row(spec.case_id, spec.a, spec.b, n)
     return sum(m**i * cell for i, cell in enumerate(row))
 
 
-def fm_formula_available(spec: CaseSpec, m: int) -> bool:
-    """Whether :func:`fm_explicit` covers f_m at level m >= 0: every
-    family at every level except family 1 at m = 0."""
-    m = _as_param("m", m)
-    return not (spec.case_id == 1 and m == 0)
-
-
 def triangle_formula_available(spec: CaseSpec, m: int) -> bool:
-    """Whether a closed form covers the whole level-m triangle."""
-    m = _as_param("m", m)
-    if m < 1:
-        return False
-    if spec.case_id == 1:
-        return True
-    if spec.case_id == 2:
-        return m in (1, 2)
-    return m == 1
+    """Whether the closed forms cover the level-m triangle: at every
+    level m >= 1, for every family."""
+    return _as_param("m", m) >= 1
 
 
 def triangle_formula_value(spec: CaseSpec, m: int, n: int, k: int) -> int:
-    """Level-m triangle entry from the closed forms, where one exists."""
+    """Level-m triangle entry c_m(n,k), m >= 1, from the closed forms.
+
+    Family 2 at m = 2 reads the paper's own c_2 (``c2_explicit_case2``);
+    every other point lifts the closed-form c_1 row to level m, as
+    :func:`cm_explicit_case1` does for family 1.
+    """
+    m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
     if not triangle_formula_available(spec, m):
-        raise ValueError(
-            f"no closed form for case {spec.case_id} triangle at m={m}"
-        )
-    if spec.case_id == 1:
-        return cm_explicit_case1(spec.a, m, n, k)
-    if m == 1:
-        return c1_explicit(spec, n, k)
-    return c2_explicit_case2(spec.a, n, k)
+        raise ValueError("m must be >= 1")
+    _check_cell(n, k)
+    if spec.case_id == 2 and m == 2:
+        return c2_explicit_case2(spec.a, n, k)
+    return _lift(_c1_row(spec.case_id, spec.a, spec.b, n)[k - 1 :], m, k)

@@ -76,7 +76,7 @@ def parse_triangle_csv(text: str) -> Triangle:
         n, k, value = (int(x) for x in line.split(","))
         if n == len(rows) + 1 and k == 1:
             rows.append([])
-        if n != len(rows) or k != len(rows[-1]) + 1:
+        if n != len(rows) or not rows or k != len(rows[-1]) + 1:
             raise ValueError(f"cell ({n},{k}) out of order")
         rows[-1].append(value)
     return Triangle(rows)
@@ -110,6 +110,8 @@ def parse_json(text: str) -> dict:
     import json
 
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a json object, got {type(doc).__name__}")
     missing = {"case", "params", "m", "source", "values"} - set(doc)
     if missing:
         raise ValueError(f"missing keys: {sorted(missing)}")

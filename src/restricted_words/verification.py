@@ -1,12 +1,13 @@
 """The route table and the cross-checks tying every route to every other.
 
 :data:`SEQUENCE_ROUTES` and :data:`TRIANGLE_ROUTES` hold the one
-implementation of each sequence and triangle route; ``explicit`` and
-``formula`` cover only the points :func:`cases.fm_formula_available`
-and :func:`cases.triangle_formula_available` accept.  The CLI's
-``--source`` and :func:`cross_check` both reach them through
-:func:`sequence_values` and :func:`triangle_rows`; :func:`cross_check`
-gets ``eq3`` by lifting the level-1 ``convolution`` triangle, f_0's own.
+implementation of each sequence and triangle route.  Every route covers
+every family: the sequence routes at every level m >= 0 and the triangle
+routes at every m >= 1, the closed forms ``explicit`` and ``formula``
+included.  The CLI's ``--source`` and :func:`cross_check` both reach
+them through :func:`sequence_values` and :func:`triangle_rows`;
+:func:`cross_check` gets ``eq3`` by lifting the level-1 ``convolution``
+triangle, f_0's own.
 
 For one family and extension level this harness compares, cell by cell
 and entry by entry: exhaustive counts, automaton counts, recurrence
@@ -68,11 +69,6 @@ TRIANGLE_ROUTES = {
         composition_triangle(cases.f0_prefix(spec, N)), m
     ),
 }
-# closed-form route name -> (spec, m) -> whether it covers that point
-_COVERAGE = {
-    "explicit": cases.fm_formula_available,
-    "formula": cases.triangle_formula_available,
-}
 
 
 def _from_route(routes: dict, kind: str, spec: CaseSpec, m: int, N: int, source: str):
@@ -81,18 +77,12 @@ def _from_route(routes: dict, kind: str, spec: CaseSpec, m: int, N: int, source:
         raise ValueError(
             f"unknown {kind} source {source!r}; choose from " + ", ".join(routes)
         )
+    m = _as_param("m", m)
     if kind == "triangle" and m < 1:
         raise ValueError("triangles need --m >= 1")
     N = _as_param("N", N)
     if N < 1:
         raise ValueError("--n must be >= 1")
-    covers = _COVERAGE.get(source)
-    if covers and not covers(spec, m):
-        what = " triangle" if kind == "triangle" else ""
-        raise ValueError(
-            f"no closed form for case {spec.case_id}{what} at m={m}; "
-            "available sources: " + ", ".join(s for s in routes if s != source)
-        )
     return routes[source](spec, m, N)
 
 
@@ -255,10 +245,9 @@ def cross_check(
         rows.append(
             ("repunit-specialization-vs-field-form", "n,k", repunit, explicit_c1)
         )
-    if _COVERAGE["explicit"](spec, m):
-        explicit = sequence_values(spec, m, triangle_n, "explicit")
-        rows.append(("explicit-fm-vs-recurrence", "n", explicit, fm))
-    if _COVERAGE["formula"](spec, m):
+    explicit = sequence_values(spec, m, triangle_n, "explicit")
+    rows.append(("explicit-fm-vs-recurrence", "n", explicit, fm))
+    if m >= 1:
         formula = triangle_rows(spec, m, triangle_n, "formula").rows
         rows.append(("explicit-triangle-vs-lift", "n,k", formula, cm.rows))
     comparisons = tuple(

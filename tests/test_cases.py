@@ -26,7 +26,6 @@ from restricted_words.cases import (
     f0_prefix,
     f0_value,
     fm_explicit,
-    fm_formula_available,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_value,
@@ -52,7 +51,6 @@ INTEGER_ARGUMENT_CALLS = [
     (cm_explicit_case1, (2, 3, 70, 1), "a m n k"),
     (cm_explicit_case1_alt, (2, 3, 70, 1), "a m n k"),
     (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
-    (fm_formula_available, (CaseSpec(1, a=2), 0), "m"),
     (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
     (triangle_formula_value, (CaseSpec(2, a=2), 2, 7, 3), "m n k"),
 ]
@@ -389,15 +387,15 @@ class TestFmExplicit:
     @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
     def test_equals_recurrence(self, point):
         spec, m = point
-        if spec.case_id == 1 and m == 0:
-            return
         seq = fm_sequence(spec, m, 12)
         for n in range(1, 13):
             assert fm_explicit(spec, m, n) == seq.at(n), (spec, m, n)
 
-    def test_family1_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            fm_explicit(CaseSpec(1, a=2), 0, 4)
+    def test_family1_level_zero_is_f0(self):
+        # the sum collapses to c_1(n,1) = f_0(n), here 3 * 2**68 > 2**63
+        spec = CaseSpec(1, a=3)
+        assert fm_explicit(spec, 0, 70) == f0_value(spec, 70) == 3 * 2**68
+        assert fm_explicit(spec, np.int64(0), 70) == 3 * 2**68
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -406,18 +404,16 @@ class TestFmExplicit:
 
 class TestTriangleFormulaRouting:
     def test_availability_map(self):
-        assert triangle_formula_available(CaseSpec(1, a=2), 3)
-        assert triangle_formula_available(CaseSpec(2, a=2), 2)
-        assert not triangle_formula_available(CaseSpec(2, a=2), 3)
-        assert triangle_formula_available(CaseSpec(5), 1)
-        assert not triangle_formula_available(CaseSpec(5), 2)
-        assert not triangle_formula_available(CaseSpec(3, a=3, b=2), 0)
+        # every family at every level m >= 1, and no family below
+        for spec in GRID_SPECS:
+            for m in range(-1, 6):
+                assert triangle_formula_available(spec, m) == (m >= 1), (spec, m)
 
     @pytest.mark.parametrize("point", GRID_POINTS, ids=point_id)
     def test_value_matches_lift_where_available(self, point):
         spec, m = point
-        if not triangle_formula_available(spec, m):
-            with pytest.raises(ValueError):
+        if m < 1:
+            with pytest.raises(ValueError, match="^m must be >= 1$"):
                 triangle_formula_value(spec, m, 3, 1)
             return
         t = lift_triangle(composition_triangle(f0_prefix(spec, 10)), m)

@@ -140,13 +140,11 @@ def test_seq_case3_needs_a_greater_than_b(capsys):
     assert code == 2
 
 
-def test_seq_case1_explicit_level_zero_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys, "seq", "--case", "1", "--a", "2", "--m", "0", "--n", "4",
-        "--source", "explicit",
-    )
-    assert code == 2
-    assert "available sources" in err
+def test_seq_case1_explicit_level_zero_matches_recurrence(capsys):
+    family = ("--case", "1", "--a", "2", "--m", "0", "--n", "6")
+    explicit = run_cli(capsys, "seq", *family, "--source", "explicit")
+    assert explicit == run_cli(capsys, "seq", *family, "--source", "recurrence")
+    assert explicit == (0, "1 2 2 2 2 2\n", "")
 
 
 def test_triangle_aerated_row(capsys):
@@ -186,13 +184,17 @@ def test_triangle_level_zero_exits_2(capsys):
     assert code == 2
 
 
-def test_triangle_formula_unavailable_names_alternatives(capsys):
-    code, _, err = run_cli(
-        capsys, "triangle", "--case", "5", "--m", "2", "--n", "4",
-        "--source", "formula",
-    )
-    assert code == 2
-    assert "convolution" in err and "eq3" in err
+@pytest.mark.parametrize(
+    "family, m",
+    [(("--case", "2", "--a", "2"), 3), (("--case", "3", "--a", "4", "--b", "2"), 2),
+     (("--case", "4"), 3), (("--case", "5"), 2)],
+    ids=["case2-m3", "case3-m2", "case4-m3", "case5-m2"],
+)
+def test_triangle_formula_covers_every_level(capsys, family, m):
+    argv = ("triangle", *family, "--m", str(m), "--n", "7", "--source")
+    formula = run_cli(capsys, *argv, "formula")
+    assert formula[0] == 0
+    assert formula == run_cli(capsys, *argv, "convolution")
 
 
 def test_verify_single_point_exits_0(capsys):

@@ -81,6 +81,11 @@ def test_triangle_csv_rejects_out_of_order_cells():
         parse_triangle_csv("n,k,value\n1,1,1\n2,2,3\n")
 
 
+def test_triangle_csv_rejects_a_row_before_the_first():
+    with pytest.raises(ValueError, match=r"^cell \(0,1\) out of order$"):
+        parse_triangle_csv("n,k,value\n0,1,5\n")
+
+
 @given(values_lists)
 def test_triangle_csv_round_trip(values):
     t = small_triangle(values)
@@ -109,3 +114,9 @@ def test_json_triangle_round_trip():
 def test_json_missing_key_rejected():
     with pytest.raises(ValueError):
         parse_json('{"case": 1, "m": 0, "values": []}')
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"values"'])
+def test_json_non_object_rejected(text):
+    with pytest.raises(ValueError, match="^expected a json object, got "):
+        parse_json(text)

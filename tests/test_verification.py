@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     GRID_POINTS,
     GRID_SPECS,
@@ -29,11 +31,10 @@ from restricted_words.verification import (
 )
 from restricted_words.words import DEFAULT_BUDGET, build_dfa
 
-# closed-form route -> its coverage predicate; every other route covers all
-COVERAGE = {
-    "explicit": cases.fm_formula_available,
-    "formula": cases.triangle_formula_available,
-}
+# every sequence route, then every triangle route
+ROUTES = [(sequence_values, source) for source in SEQUENCE_ROUTES] + [
+    (triangle_rows, source) for source in TRIANGLE_ROUTES
+]
 
 
 def test_default_grid_shape():
@@ -270,29 +271,63 @@ def test_corrupted_explicit_route_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
 def test_routes_give_values_exactly_where_covered(spec):
+    # every route covers every family: the sequence routes at every m >= 0,
+    # the triangle routes at every m >= 1, and all give the same values
     for routes, run, levels in (
-        (SEQUENCE_ROUTES, sequence_values, range(4)),
-        (TRIANGLE_ROUTES, triangle_rows, range(1, 4)),
+        (SEQUENCE_ROUTES, sequence_values, range(5)),
+        (TRIANGLE_ROUTES, triangle_rows, range(1, 5)),
     ):
         for m in levels:
-            for source in routes:
-                covered = source not in COVERAGE or COVERAGE[source](spec, m)
-                if covered:
-                    assert run(spec, m, 5, source), (source, m)
-                else:
-                    with pytest.raises(ValueError, match="no closed form"):
-                        run(spec, m, 5, source)
+            first, *rest = (run(spec, m, 5, source) for source in routes)
+            assert first and all(values == first for values in rest), m
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
 def test_cross_check_runs_closed_forms_exactly_where_covered(spec):
+    # f_m's closed form at every level, the triangle's at every m >= 1
     for m in range(4):
         labels = [c.label for c in cross_check(spec, m, 3, 4).comparisons]
-        for source, label in (
-            ("explicit", "explicit-fm-vs-recurrence"),
-            ("formula", "explicit-triangle-vs-lift"),
-        ):
-            assert (label in labels) == COVERAGE[source](spec, m), (source, m)
+        assert "explicit-fm-vs-recurrence" in labels, m
+        assert ("explicit-triangle-vs-lift" in labels) == (m >= 1), m
+
+
+def test_corrupted_lift_is_caught(monkeypatch):
+    # family 3 at m = 2 reaches cases._lift only through the formula
+    # triangle; one wrong cell (n, k) = (4, 2) fails that line alone
+    real = cases._lift
+
+    def corrupt(cells, m, k):
+        return real(cells, m, k) + ((len(cells), k) == (3, 2))
+
+    monkeypatch.setattr(cases, "_lift", corrupt)
+    report = cross_check(CaseSpec(3, a=3, b=1), 2)
+    bad = [c for c in report.comparisons if not c.ok]
+    assert [c.label for c in bad] == ["explicit-triangle-vs-lift"]
+    assert (bad[0].witness["n"], bad[0].witness["k"]) == (4, 2)
+
+
+# off the default grid: families 1-2 with a <= 8, family 3 with
+# 1 <= b < a <= 8, and families 4-5
+OFF_GRID_SPECS = st.one_of(
+    st.tuples(st.sampled_from((1, 2)), st.integers(1, 8)),
+    st.integers(2, 8).flatmap(
+        lambda a: st.tuples(st.just(3), st.just(a), st.integers(1, a - 1))
+    ),
+    st.tuples(st.sampled_from((4, 5))),
+).map(lambda fields: CaseSpec(*fields))
+
+
+class TestOffGrid:
+    @given(OFF_GRID_SPECS, st.integers(0, 6), st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_fm_equals_recurrence(self, spec, m, n):
+        assert cases.fm_explicit(spec, m, n) == cases.fm_sequence(spec, m, n).at(n)
+
+    @given(OFF_GRID_SPECS, st.integers(1, 6), st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_formula_triangle_equals_convolution(self, spec, m, N):
+        formula = triangle_rows(spec, m, N, "formula")
+        assert formula == triangle_rows(spec, m, N, "convolution")
 
 
 def test_unknown_source_names_the_choices():
@@ -394,15 +429,18 @@ class TestRecords:
             assert copy == spec and type(copy) is CaseSpec
 
 
-@pytest.mark.parametrize(
-    "get, source",
-    [(sequence_values, "invert"), (triangle_rows, "convolution"), (triangle_rows, "eq3")],
-    ids=["invert", "convolution", "eq3"],
-)
+@pytest.mark.parametrize("get, source", ROUTES, ids=[source for _, source in ROUTES])
 def test_numpy_m_gives_exact_values(get, source):
     # at m = 5 and N = 40 the values pass 2**63, where a numpy m wraps
     spec = CaseSpec(1, a=3)
     assert get(spec, np.int64(5), 40, source) == get(spec, 5, 40, source)
+
+
+@pytest.mark.parametrize("get, source", ROUTES)
+def test_routes_take_m_by_the_integer_rule(get, source):
+    # the route is never reached: the error names the m the caller passed
+    with pytest.raises(ValueError, match=r"^m must be an integer, got 1\.5$"):
+        get(CaseSpec(2, a=2), 1.5, 4, source)
 
 
 @pytest.mark.parametrize(
@@ -417,11 +455,7 @@ def test_integer_bounds(func, args, names):
     assert_integer_arguments(func, args, names)
 
 
-@pytest.mark.parametrize(
-    "get, source",
-    [(sequence_values, source) for source in SEQUENCE_ROUTES]
-    + [(triangle_rows, source) for source in TRIANGLE_ROUTES],
-)
+@pytest.mark.parametrize("get, source", ROUTES)
 def test_routes_take_N_by_the_integer_rule(get, source):
     spec, m = CaseSpec(2, a=2), 2
     with pytest.raises(ValueError, match=r"^N must be an integer, got 2\.5$"):
