@@ -344,12 +344,16 @@ def c2_explicit_case2(a: int, n: int, k: int) -> int:
 def _lift(cells: tuple[int, ...], m: int, k: int) -> int:
     # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i), with
     # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n); at m = 1 every term
-    # but i = k has the factor 0^(i-k) = 0, so the lift is c_1(n,k)
+    # but i = k has the factor 0^(i-k) = 0, so the lift is c_1(n,k).  The
+    # weight (m-1)^d C(k-1+d, d) steps from d to d + 1 by (m-1)(k+d)/(d+1),
+    # exactly, since C(k-1+d, d) (k+d) = C(k+d, d+1) (d+1)
     if m == 1:
         return cells[0]
     total = 0
+    weight = 1
     for d, cell in enumerate(cells):
-        total += (m - 1) ** d * binom(k - 1 + d, k - 1) * cell
+        total += weight * cell
+        weight = weight * (m - 1) * (k + d) // (d + 1)
     return total
 
 

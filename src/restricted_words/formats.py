@@ -116,8 +116,14 @@ def parse_json(text: str) -> dict:
     if missing:
         raise ValueError(f"missing keys: {sorted(missing)}")
     values = doc["values"]
-    if values and isinstance(values[0], list):
-        doc["values"] = Triangle(values)
-    else:
-        doc["values"] = Sequence(values)
+    if not isinstance(values, list):
+        raise ValueError(f"values must be a list, got {type(values).__name__}")
+    try:
+        if values and isinstance(values[0], list):
+            doc["values"] = Triangle(values)
+        else:
+            doc["values"] = Sequence(values)
+    except TypeError as exc:
+        # a value that is not an integer, or a row that is not a list
+        raise ValueError(f"values: {exc}") from None
     return doc

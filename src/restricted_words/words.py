@@ -26,10 +26,11 @@ Three independent routes to the same numbers:
   checked as one run.  So every word gets its own validity bit from its
   own letters, with no automaton and no mask shared between heads.  The
   masks add into a counter per tail and number of head marks, and the
-  tails' letters are folded in once per length.  ``marked_histograms``
-  reads every shorter length off the same levels.  Refuses to enumerate
-  more than ``budget`` words, charging a one-letter alphabet as two
-  letters.
+  tails' letters are folded in once per length, each fold counting in
+  the narrowest unsigned type that holds the number of words it counts.
+  ``marked_histograms`` reads every shorter length off the same levels.
+  Refuses to enumerate more than ``budget`` words, charging a one-letter
+  alphabet as two letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
   enumeration range (length 500 and up).  One loop steps the counting
@@ -419,17 +420,22 @@ def _joins(
         yield i, mask
 
 
-def _fold(acc: np.ndarray, s: int) -> np.ndarray:
+def _fold(acc: np.ndarray, s: int, bound: int) -> np.ndarray:
     # acc[j] counts, for every tail, the valid words whose head holds j
-    # marked letters; fold the tail's letters in, first to last: a word
-    # whose letter is the marked one moves from j to j + 1
+    # marked letters, each count at most bound; fold the tail's letters in,
+    # first to last: a word whose letter is the marked one moves from j to
+    # j + 1.  A cell after a fold sums s cells before it, so each step
+    # counts in the narrowest type that holds s times the last bound; the
+    # last, s**L, is within the budget
     import numpy as np
 
     marked = s - 1
     while acc.shape[1] > 1:
+        bound *= s
+        dtype = np.min_scalar_type(bound)
         cube = acc.reshape(len(acc), s, -1)
-        acc = np.zeros((len(cube) + 1, cube.shape[2]), dtype=np.int64)
-        cube[:, :marked].sum(axis=1, dtype=np.int64, out=acc[:-1])
+        acc = np.zeros((len(cube) + 1, cube.shape[2]), dtype=dtype)
+        cube[:, :marked].sum(axis=1, dtype=dtype, out=acc[:-1])
         acc[1:] += cube[:, marked]
     return acc[:, 0]
 
@@ -462,7 +468,7 @@ def _histograms(
         acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
         for i, mask in _joins(spec, cut, tails):
             acc[marks[i]] += mask.view(np.uint8)
-        hists.append(_fold(acc, s).tolist())
+        hists.append(_fold(acc, s, s**h).tolist())
     return hists
 
 

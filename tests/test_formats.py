@@ -120,3 +120,12 @@ def test_json_missing_key_rejected():
 def test_json_non_object_rejected(text):
     with pytest.raises(ValueError, match="^expected a json object, got "):
         parse_json(text)
+
+
+@pytest.mark.parametrize(
+    "values", ["5", '["a"]', "[1, [2]]", "[[1], 2]", "[[1], [2, 3.5]]"]
+)
+def test_json_values_not_integers_rejected(values):
+    text = '{"case": 1, "params": {"a": 2}, "m": 0, "source": "x", "values": %s}'
+    with pytest.raises(ValueError, match="^values"):
+        parse_json(text % values)

@@ -291,6 +291,19 @@ def test_cross_check_runs_closed_forms_exactly_where_covered(spec):
         assert ("explicit-triangle-vs-lift" in labels) == (m >= 1), m
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [CaseSpec(1, a=2), CaseSpec(2, a=2), CaseSpec(3, a=3, b=1), CaseSpec(4), CaseSpec(5)],
+    ids=spec_id,
+)
+def test_formula_triangle_matches_convolution_at_sixty_rows(spec):
+    # the lift's stepped weights (m-1)^d C(k-1+d, d) at m = 3, with cells
+    # beyond 2^63, against the route that reads no closed form
+    assert triangle_rows(spec, 3, 60, "formula") == triangle_rows(
+        spec, 3, 60, "convolution"
+    )
+
+
 def test_corrupted_lift_is_caught(monkeypatch):
     # family 3 at m = 2 reaches cases._lift only through the formula
     # triangle; one wrong cell (n, k) = (4, 2) fails that line alone

@@ -540,6 +540,54 @@ class TestEveryLengthFromOneEnumeration:
             assert [sum(h) for h in hists] == automaton_counts(spec, m, length)
 
 
+def _int64_fold(acc, s):
+    # the reference fold: every step in int64, whatever the number of
+    # words it counts
+    marked = s - 1
+    while acc.shape[1] > 1:
+        cube = acc.reshape(len(acc), s, -1)
+        acc = np.zeros((len(cube) + 1, cube.shape[2]), dtype=np.int64)
+        cube[:, :marked].sum(axis=1, dtype=np.int64, out=acc[:-1])
+        acc[1:] += cube[:, marked]
+    return acc[:, 0]
+
+
+class TestFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.integers(2, 6),
+        h=st.integers(0, 5),
+        t=st.integers(1, 6),
+        full=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_int64_fold(self, s, h, t, full, seed):
+        # h + 1 rows of head marks by s**t tails, each count at most the
+        # s**h heads, in the type the joins count them in; full puts every
+        # count at that bound, otherwise one count reaches it
+        bound = s**h
+        rng = np.random.default_rng(seed)
+        shape = (h + 1, s**t)
+        if full:
+            acc = np.full(shape, bound)
+        else:
+            acc = rng.integers(0, bound + 1, size=shape)
+            acc.flat[rng.integers(acc.size)] = bound
+        acc = acc.astype(np.min_scalar_type(bound))
+        folded = words._fold(acc, s, bound)
+        assert folded.tolist() == _int64_fold(acc.astype(np.int64), s).tolist()
+        assert folded.dtype == np.min_scalar_type(bound * s**t)
+
+    def test_counts_past_8_and_16_bits(self, monkeypatch):
+        # tails of two of the 7 letters, so the last fold at each length
+        # gives its histogram: past 2^8 from 4 letters, past 2^16 at 7
+        monkeypatch.setattr(words, "_CHUNK_ROWS", 49)
+        spec, m = CaseSpec(1, a=1), 6
+        hists = marked_histograms(spec, m, 7)
+        assert hists == automaton_histograms(spec, m, 7)
+        assert 2**8 < max(hists[4]) < 2**16 < max(hists[7])
+
+
 class TestLevels:
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
