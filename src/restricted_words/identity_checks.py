@@ -23,7 +23,7 @@ from .cases import (
     f0_value,
     fm_explicit,
 )
-from .classics import fibonacci, jacobsthal, pell, tribonacci
+from .classics import fibonacci, jacobsthal, mersenne, padovan, pell, tribonacci
 from .sequences import Sequence, _as_param, binom, composition_triangle
 from .words import automaton_counts
 
@@ -116,10 +116,11 @@ def _case3_product(max_n: int) -> Iterator[Checkpoint]:
 
 
 def _euler_type(max_n: int) -> Iterator[Checkpoint]:
-    # binary words of length n-2 vs family-4 ternary words of length n-1
+    # binary words of length n-2, 2^(n-2) = M(n-2) + 1, vs family-4 ternary
+    # words of length n-1
     counts = automaton_counts(CaseSpec(4), 1, max_n - 1)
     for n in range(3, max_n + 1):
-        yield {"n": n}, 2 ** (n - 2), counts[n - 1]
+        yield {"n": n}, mersenne(n - 2) + 1, counts[n - 1]
 
 
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
@@ -127,7 +128,7 @@ def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
     spec = CaseSpec(4)
     for n in range(3, max_n + 1):
         rhs = sum(c1_explicit(spec, n, k) for k in range(1, n))
-        yield {"n": n}, 2 ** (n - 2) - 1, rhs
+        yield {"n": n}, mersenne(n - 2), rhs
 
 
 def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
@@ -145,12 +146,9 @@ def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
 
 
 def _padovan_compositions(max_n: int) -> Iterator[Checkpoint]:
-    # r(L): compositions of L into parts 2 and 3, by direct DP
-    r = [1, 0, 1]
-    while len(r) < max_n:
-        r.append(r[-2] + r[-3])
+    # compositions of n - 1 into parts 2 and 3, Padovan's P(n + 2)
     for n in range(1, max_n + 1):
-        yield {"n": n}, f0_value(CaseSpec(5), n), r[n - 1]
+        yield {"n": n}, f0_value(CaseSpec(5), n), padovan(n + 2)
 
 
 _REGISTRY: dict[str, Callable[[int], Iterator[Checkpoint]]] = {
@@ -178,7 +176,8 @@ def check_identity(name: str, max_n: int = 30) -> IdentityReport:
     """Verify one registered identity for all n up to max_n.
 
     Checks run in ascending n, so a failing report always carries the
-    lowest counterexample.
+    lowest counterexample.  A max_n below the identity's first n, where it
+    would check nothing, raises ``ValueError``.
     """
     try:
         runner = _REGISTRY[name]
@@ -194,6 +193,8 @@ def check_identity(name: str, max_n: int = 30) -> IdentityReport:
         checked += 1
         if lhs != rhs:
             return IdentityReport(name, max_n, checked, Counterexample(params, lhs, rhs))
+    if not checked:
+        raise ValueError(f"identity {name!r} makes no check at max_n = {max_n}")
     return IdentityReport(name, max_n, checked, None)
 
 

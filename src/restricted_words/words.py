@@ -5,26 +5,29 @@ Three independent routes to the same numbers:
 * ``is_valid``: a pure per-word predicate, the most literal reading of
   each family's constraint (maximal-run semantics spelled out).
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
-  given length, grown one letter at a time.  Level l + 1, every word of
-  l + 1 letters in lexicographic order, is level l with every letter put
-  in front of it, and each word gets its own validity bit: its suffix's
-  bit ANDed with the rule at its own first letter.  Families 1, 3 and 4
-  test the new pair of adjacent letters against one forbidden-pair rule;
-  for the run-length families 2 and 5 a new letter unlike the first
-  closes the first run, which must be allowed.  A level keeps both ends
-  of its words open, with their first and last letter (and first and
-  last run); closing an end adds the rules there (family 4's first and
-  last letter, a first or last run).  Level l, closed at both ends, gives
-  the words of length l, with their number of marked letters grown
-  alongside.  Longer words are split and joined as Horowitz and Sahni
-  do: level ``t``, ``s**t`` the largest power of the alphabet size within
-  2^17 words but ``t`` at least 1 (2^20-word levels overflow a 2 MB L2
-  cache), holds the tails, and levels 1 to L - t the heads.  Each
+  given length as a head joined with a tail, the split-and-join of
+  Horowitz and Sahni, each side grown one letter at a time at its one
+  open end.  Tails of l + 1 letters, in lexicographic order, are the
+  tails of l letters with every letter put in front of them; heads of
+  l + 1 letters are the heads of l letters with every letter put after
+  them.  Each word gets its own validity bit: the shorter word's bit
+  ANDed with the rule at the open end.  Families 1, 3 and 4 test the new
+  pair of adjacent letters against one forbidden-pair rule; for the
+  run-length families 2 and 5 a new letter unlike the one at the open
+  end closes the run there, which must be allowed.  A side closes its
+  far end at its first letter (family 4 ends no tail on the 1 that owes
+  a 0 and starts no head on a 0), so it keeps only its validity bit, the
+  letter at its open end and, for families 2 and 5, the run there.
+  Tails of l letters, their front closed, give the words of length l,
+  with their number of marked letters grown alongside.  Longer words
+  join tails of ``t`` letters, ``s**t`` the largest power of the
+  alphabet size within 2^17 words but ``t`` at least 1 (2^20-word levels
+  overflow a 2 MB L2 cache), with heads of 1 to L - t letters.  Each
   valid head is joined with every tail in one block mask, from the
-  head's last letter (and last run) and each tail's own features: the
-  same pair rule on the boundary pair, or the run across the boundary
-  checked as one run.  So every word gets its own validity bit from its
-  own letters, with no automaton and no mask shared between heads.  The
+  head's last letter (and last run) and each tail's first: the same pair
+  rule on the boundary pair, or the run across the boundary checked as
+  one run.  So every word gets its own validity bit from its own
+  letters, with no automaton and no mask shared between heads.  The
   masks add into a counter per tail and number of head marks, and the
   tails' letters are folded in once per length, each fold counting in
   the narrowest unsigned type that holds the number of words it counts.
@@ -225,19 +228,15 @@ def max_enumerable_length(
     return length
 
 
-class _Cut(NamedTuple):
-    # words of some number of letters with both ends left open: ok where
-    # every rule inside the word holds, which leaves out the rules at its
-    # ends; the first and the last letter; for the run families 2 and 5 the
-    # lengths of the first and the last run and whether they are one run.
-    # The empty word has only ok, and for the run families a last run of
+class _Side(NamedTuple):
+    # words of some number of letters with one end left open, the front of
+    # a tail or the back of a head: ok where every rule holds but those at
+    # the open end; the letter there and, for the run families 2 and 5, the
+    # length of the run there.  The empty word has no letter and a run of
     # length 0 in the counters' type.
     ok: np.ndarray
-    first: np.ndarray | None = None
-    last: np.ndarray | None = None
-    first_run: np.ndarray | None = None
-    run: np.ndarray | None = None
-    one_run: np.ndarray | None = None
+    end: np.ndarray | None
+    run: np.ndarray | None
 
 
 def _pair_rule(spec: CaseSpec) -> Callable | None:
@@ -249,8 +248,8 @@ def _pair_rule(spec: CaseSpec) -> Callable | None:
         def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
             return (cur == nxt) & (cur < a)
     elif cid == 3:
-        # both tests of nxt first: against a column of letters only the
-        # last & then spans every new word
+        # both tests of nxt first: against a column of letters put in front
+        # of the tails only the last & then spans every new word
         def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
             return (cur == 0) & ((nxt >= 1) & (nxt <= spec.b))
     elif cid == 4:
@@ -282,17 +281,6 @@ def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
     return runs // d * d == runs
 
 
-def _empty(spec: CaseSpec, longest: int) -> _Cut:
-    # the empty word, whose run counters (families 2 and 5) will count runs
-    # of up to `longest` letters without wrapping
-    import numpy as np
-
-    ok = np.ones(1, dtype=bool)
-    if _pair_rule(spec) is not None:
-        return _Cut(ok)
-    return _Cut(ok, run=np.zeros(1, dtype=np.min_scalar_type(longest)))
-
-
 def _spread(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # the values broadcast to the shape and written out
     import numpy as np
@@ -302,119 +290,104 @@ def _spread(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _prepend(spec: CaseSpec, cut: _Cut, letters: np.ndarray) -> _Cut:
-    # the cut's words with a letter put in front of each, both ends left
-    # open: elementwise where the letters have the cut's shape, and every
-    # letter before every word for a column of s letters against a row of
-    # n words, giving s rows of n words in lexicographic order
+def _grow(spec: CaseSpec, side: _Side, letters: np.ndarray, front: bool) -> _Side:
+    # the side's words with a letter added at the open end of each, the
+    # front of a tail or the back of a head: elementwise where the letters
+    # have the side's shape, and every letter with every word for a column
+    # of s letters against a row of n words, giving s rows of n words
     import numpy as np
 
-    if cut.last is None:
-        # each letter alone, one run of one letter
-        ok = np.ones(letters.shape, dtype=bool)
-        if cut.run is None:
-            return _Cut(ok, letters, letters)
-        run = _spread(cut.run + 1, letters.shape)
-        return _Cut(ok, letters, letters, run, run, ok.copy())
-    if cut.run is None:
-        ok = cut.ok & ~_pair_rule(spec)(letters, cut.first)
-        return _Cut(ok, _spread(letters, ok.shape), _spread(cut.last, ok.shape))
-    # a new letter unlike the first closes the first run, which must be
-    # allowed unless it is also the last, whose end is still open
-    same = letters == cut.first
-    ok = cut.ok & (same | (cut.one_run | _run_ok(spec, cut.first, cut.first_run)))
-    grows = cut.one_run & same
-    first_run = same * cut.first_run
-    first_run += 1
-    return _Cut(
-        ok,
-        _spread(letters, ok.shape),
-        _spread(cut.last, ok.shape),
-        first_run,
-        cut.run + grows,
-        grows,
-    )
+    bad = _pair_rule(spec)
+    if side.end is None:
+        # each letter alone, its far end closed at once: family 4 ends no
+        # tail on the 1 that owes a 0 and starts no head on a 0
+        if spec.case_id == 4:
+            ok = letters != (1 if front else 0)
+        else:
+            ok = np.ones(letters.shape, dtype=bool)
+        run = None if bad is not None else _spread(side.run + 1, letters.shape)
+        return _Side(ok, letters, run)
+    if bad is not None:
+        pair = (letters, side.end) if front else (side.end, letters)
+        ok = side.ok & ~bad(*pair)
+        return _Side(ok, _spread(letters, ok.shape), None)
+    # a new letter unlike the one at the open end closes the run there,
+    # which must be allowed: the far end is closed already
+    same = letters == side.end
+    ok = side.ok & (same | _run_ok(spec, side.end, side.run))
+    run = same * side.run
+    run += 1
+    return _Side(ok, _spread(letters, ok.shape), run)
 
 
-def _levels(spec: CaseSpec, m: int, top: int) -> Iterator[tuple[_Cut, np.ndarray]]:
-    # for l = 0, 1, ..., top: every word of l letters in lexicographic
-    # order, both ends open, and each word's number of marked letters
-    # (s - 1).  Level l + 1 is every letter put in front of level l.
+def _levels(
+    spec: CaseSpec, m: int, top: int, front: bool
+) -> Iterator[tuple[_Side, np.ndarray]]:
+    # for l = 0, 1, ..., top: every word of l letters, open at the front
+    # (tails, in lexicographic order) or at the back (heads), and each
+    # word's number of marked letters (s - 1).  Level l + 1 is every letter
+    # added at the open end of level l.
     import numpy as np
 
     s = spec.alphabet_size(m)
     column = np.arange(s, dtype=np.min_scalar_type(-s))[:, None]
     marked = column == s - 1
-    level = _empty(spec, top)
+    # the empty word's marks and run, both counting up to top letters
     marks = np.zeros(1, dtype=np.min_scalar_type(top))
+    level = _Side(np.ones(1, dtype=bool), None, marks)
     yield level, marks
     for _ in range(top):
-        grown = _prepend(spec, level, column)
-        level = _Cut._make(None if f is None else f.ravel() for f in grown)
+        grown = _grow(spec, level, column, front)
+        level = _Side._make(None if f is None else f.ravel() for f in grown)
         marks = (marks + marked).ravel()
         yield level, marks
 
 
-def _closed(
-    spec: CaseSpec, cut: _Cut, start: bool = True, end: bool = True
-) -> np.ndarray:
-    # the validity of the cut's words with the chosen ends closed; the rules
-    # at an open end are left to a join, and so is a run that reaches it
-    ok = cut.ok.copy()
-    if cut.last is None:
-        return ok
-    if cut.run is None:
-        # family 4 cannot start on a 0 or end on the 1 that owes a 0
-        if spec.case_id == 4:
-            if start:
-                ok &= cut.first != 0
-            if end:
-                ok &= cut.last != 1
-        return ok
-    if start:
-        first_ok = _run_ok(spec, cut.first, cut.first_run)
-        ok &= first_ok if end else first_ok | cut.one_run
-    if end:
-        last_ok = _run_ok(spec, cut.last, cut.run)
-        ok &= last_ok if start else last_ok | cut.one_run
-    return ok
+def _closed(spec: CaseSpec, tails: _Side) -> np.ndarray:
+    # the validity of the tails' words with their front closed too: the run
+    # there must be allowed, and family 4 starts no word on a 0
+    if tails.end is None:
+        return tails.ok
+    if tails.run is not None:
+        return tails.ok & _run_ok(spec, tails.end, tails.run)
+    if spec.case_id == 4:
+        return tails.ok & (tails.end != 0)
+    return tails.ok
 
 
 def _joins(
-    spec: CaseSpec, heads: _Cut, tails: _Cut
+    spec: CaseSpec, heads: _Side, tails: _Side
 ) -> Iterator[tuple[int, np.ndarray]]:
-    # for every head valid with its end open, its index and the validity of
-    # the words made of it and each tail: one block mask per head, from the
-    # head's last letter (and last run) filled into a column and the tails'
-    # own features.  Both sides come with both ends open: the heads' start
-    # and the tails' end are closed here.
+    # for every valid head, its index and the validity of the words made of
+    # it and each tail: one block mask per head, from the head's last letter
+    # (and last run) filled into a row and the tails' first letters (and
+    # first runs).  Each side has its far end closed already.
     import numpy as np
 
-    tail_ok = _closed(spec, tails, start=False)
-    valid = np.flatnonzero(_closed(spec, heads, end=False))
-    letter = np.empty_like(tails.first)
+    valid = np.flatnonzero(heads.ok)
+    letter = np.empty_like(tails.end)
     bad = _pair_rule(spec)
     if bad is not None:
         for i in valid:
             # the same pair rule on the boundary pair
-            letter.fill(heads.last[i])
-            yield i, tail_ok & ~bad(letter, tails.first)
+            letter.fill(heads.end[i])
+            yield i, tails.ok & ~bad(letter, tails.end)
         return
     # where the letters match, the head's last run and the tail's first are
     # one run across the boundary, checked as one; elsewhere each is
     # checked alone
-    closes = _run_ok(spec, heads.last, heads.run)
+    closes = _run_ok(spec, heads.end, heads.run)
     # a run across the boundary may outgrow either side's counter
-    longest = int(heads.run.max()) + int(tails.first_run.max())
+    longest = int(heads.run.max()) + int(tails.run.max())
     cross = np.empty(len(letter), dtype=np.min_scalar_type(longest))
     same = np.empty(len(letter), dtype=bool)
     for i in valid:
-        letter.fill(heads.last[i])
-        np.equal(letter, tails.first, out=same)
+        letter.fill(heads.end[i])
+        np.equal(letter, tails.end, out=same)
         cross.fill(heads.run[i])
         cross *= same
-        cross += tails.first_run
-        mask = tail_ok & _run_ok(spec, tails.first, cross)
+        cross += tails.run
+        mask = tails.ok & _run_ok(spec, tails.end, cross)
         if not closes[i]:
             mask &= same
         yield i, mask
@@ -444,9 +417,9 @@ def _histograms(
     spec: CaseSpec, m: int, length: int, shortest: int
 ) -> list[list[int]]:
     # counts of valid words by number of marked letters at each length l in
-    # shortest..length: a length l <= t off level l with both ends closed;
-    # a longer one from the joins of every head of l - t letters, level
-    # l - t, with every tail, level t
+    # shortest..length: a length l <= t off the tails' level l with its
+    # front closed; a longer one from the joins of every head of l - t
+    # letters with every tail, of t letters
     import numpy as np
 
     s = spec.alphabet_size(m)
@@ -454,21 +427,17 @@ def _histograms(
     while t < length and s ** (t + 1) <= _CHUNK_ROWS:
         t += 1
     hists = []
-    heads = []
-    for l, (level, marks) in enumerate(_levels(spec, m, max(t, length - t))):
-        if shortest <= l <= t:
-            hist = np.bincount(marks[_closed(spec, level)], minlength=l + 1)
+    for l, (tails, marks) in enumerate(_levels(spec, m, t, front=True)):
+        if l >= shortest:
+            hist = np.bincount(marks[_closed(spec, tails)], minlength=l + 1)
             hists.append(hist.tolist())
-        if l == t:
-            tails = level
-        if 0 < l <= length - t and t + l >= shortest:
-            heads.append((l, level, marks))
-    for h, cut, marks in heads:
-        # the narrowest type that counts all s**h heads joining a tail
-        acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
-        for i, mask in _joins(spec, cut, tails):
-            acc[marks[i]] += mask.view(np.uint8)
-        hists.append(_fold(acc, s, s**h).tolist())
+    for h, (heads, marks) in enumerate(_levels(spec, m, length - t, front=False)):
+        if h and t + h >= shortest:
+            # the narrowest type that counts all s**h heads joining a tail
+            acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
+            for i, mask in _joins(spec, heads, tails):
+                acc[marks[i]] += mask.view(np.uint8)
+            hists.append(_fold(acc, s, s**h).tolist())
     return hists
 
 

@@ -279,6 +279,16 @@ def test_identity_all(capsys):
     assert out.count("verified") == 15
 
 
+@pytest.mark.parametrize(
+    "selector", [("--all",), ("--name", "euler-type"), ("--name", "mersenne-sum")]
+)
+def test_identity_checking_nothing_exits_2(capsys, selector):
+    code, out, err = run_cli(capsys, "identity", *selector, "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "makes no check at max_n = 2" in err
+
+
 def test_identity_unknown_name_exits_2(capsys):
     code, _, _ = run_cli(capsys, "identity", "--name", "nope")
     assert code == 2

@@ -64,6 +64,16 @@ def test_hand_summed_examples():
     assert check_identity("euler-type", 5).ok
 
 
+@pytest.mark.parametrize("name", ["euler-type", "mersenne-sum"])
+def test_no_check_is_refused(name):
+    # both start at n = 3: below it they would check nothing at all
+    for max_n in (1, 2):
+        with pytest.raises(ValueError, match=f"'{name}'.*max_n = {max_n}"):
+            check_identity(name, max_n)
+    report = check_identity(name, 3)
+    assert report.ok and report.checked == 1
+
+
 def test_counterexamples_surface_lowest_n():
     # corrupt comparison by shrinking the cap: a fake mismatch cannot be
     # produced from the real registry, so check report plumbing directly

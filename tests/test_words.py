@@ -288,19 +288,21 @@ MASK_POINTS = [
 ]
 
 
-def _cut_of(spec, m, rows):
-    # every row's cut, grown right to left one letter at a time as
-    # _histograms grows its levels, but elementwise
+def _side_of(spec, m, rows, front):
+    # every row open at one end, grown one letter at a time as _levels grows
+    # a tail (front) or a head (back), but elementwise
     letters = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
-    cut = words._empty(spec, letters.shape[1])
-    for column in letters.T[::-1]:
-        cut = words._prepend(spec, cut, column)
-    return cut
+    run = np.zeros(1, dtype=np.min_scalar_type(letters.shape[1]))
+    side = words._Side(np.ones(1, dtype=bool), None, run)
+    for column in letters.T[::-1] if front else letters.T:
+        side = words._grow(spec, side, column, front)
+    return side
 
 
 def _mask_of(spec, m, rows):
-    # rows of no letters are each the one empty word
-    mask = words._closed(spec, _cut_of(spec, m, rows))
+    # every row grown as a tail and closed at its front; rows of no letters
+    # are each the one empty word
+    mask = words._closed(spec, _side_of(spec, m, rows, front=True))
     return np.broadcast_to(mask, len(rows)).tolist()
 
 
@@ -342,8 +344,8 @@ class TestRunLengthMask:
 def _join_of(spec, m, heads, tails):
     # every head row joined with every tail row as _histograms joins them,
     # each side grown on its own; a head the join skips completes no word
-    cuts = _cut_of(spec, m, heads), _cut_of(spec, m, tails)
-    masks = dict(words._joins(spec, *cuts))
+    sides = _side_of(spec, m, heads, False), _side_of(spec, m, tails, True)
+    masks = dict(words._joins(spec, *sides))
     return [
         masks[i].tolist() if i in masks else [False] * len(tails)
         for i in range(len(heads))
@@ -413,20 +415,20 @@ class TestHeadTailJoin:
             assert _each_joined(spec, 1, heads, tails) == [[run % period == 0]]
 
     def test_each_level_grown_once(self, monkeypatch):
-        # 16-word levels: tails of 2 of the 3 letters, heads of up to 6
+        # 16-word levels: tails of 2 of the 3 letters, then heads of up to 6
         monkeypatch.setattr(words, "_CHUNK_ROWS", 16)
-        grown = []
-        prepend = words._prepend
+        grown = {True: [], False: []}
+        grow = words._grow
 
-        def counted(spec, cut, letters):
-            level = prepend(spec, cut, letters)
-            grown.append(level.ok.size)
+        def counted(spec, side, letters, front):
+            level = grow(spec, side, letters, front)
+            grown[front].append(level.ok.size)
             return level
 
-        monkeypatch.setattr(words, "_prepend", counted)
+        monkeypatch.setattr(words, "_grow", counted)
         spec, m = CaseSpec(4), 1
         assert marked_histograms(spec, m, 8) == automaton_histograms(spec, m, 8)
-        assert grown == [3, 9, 27, 81, 243, 729]
+        assert grown == {True: [3, 9], False: [3, 9, 27, 81, 243, 729]}
 
 
 # block sizes of 1, 4 and 16 rows, so that heads run from one letter to
@@ -588,29 +590,50 @@ class TestFold:
         assert 2**8 < max(hists[4]) < 2**16 < max(hists[7])
 
 
+def _runs(word):
+    return [len(list(g)) for _, g in itertools.groupby(word)]
+
+
 class TestLevels:
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
     def test_lexicographic_order(self, spec, m):
-        # every word of l letters in itertools.product's order, which
-        # _fold relies on for the tails, with its features and validity
+        # every tail of l letters in itertools.product's order, which _fold
+        # relies on, with the features at its open front and its validity
         s = spec.alphabet_size(m)
-        for l, (level, marks) in enumerate(words._levels(spec, m, 4)):
+        for l, (level, marks) in enumerate(words._levels(spec, m, 4, True)):
             every = list(itertools.product(range(s), repeat=l))
             assert marks.tolist() == [w.count(s - 1) for w in every]
             assert words._closed(spec, level).tolist() == [
                 is_valid(spec, m, w) for w in every
             ]
             if l == 0:
-                assert level.first is None and level.last is None
+                assert level.end is None
                 continue
-            assert level.first.tolist() == [w[0] for w in every]
-            assert level.last.tolist() == [w[-1] for w in every]
+            assert level.end.tolist() == [w[0] for w in every]
             if spec.case_id == 2:
-                runs = [[len(list(g)) for _, g in itertools.groupby(w)] for w in every]
-                assert level.first_run.tolist() == [r[0] for r in runs]
-                assert level.run.tolist() == [r[-1] for r in runs]
-                assert level.one_run.tolist() == [len(r) == 1 for r in runs]
+                assert level.run.tolist() == [_runs(w)[0] for w in every]
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
+    def test_heads_open_at_the_back(self, spec, m):
+        # every head of l letters, each letter put after every shorter head,
+        # with the features at its open back; its validity leaves out the
+        # last run, which a join may go on
+        s = spec.alphabet_size(m)
+        for l, (level, marks) in enumerate(words._levels(spec, m, 4, False)):
+            every = [w[::-1] for w in itertools.product(range(s), repeat=l)]
+            assert marks.tolist() == [w.count(s - 1) for w in every]
+            checked = [
+                w[: -_runs(w)[-1]] if w and spec.case_id == 2 else w for w in every
+            ]
+            assert level.ok.tolist() == [is_valid(spec, m, w) for w in checked]
+            if l == 0:
+                assert level.end is None
+                continue
+            assert level.end.tolist() == [w[-1] for w in every]
+            if spec.case_id == 2:
+                assert level.run.tolist() == [_runs(w)[-1] for w in every]
 
 
 class TestIterWords:
