@@ -164,15 +164,18 @@ def cmd_words(args: argparse.Namespace) -> int:
     if args.list:
         # the count's checks, in the count's order, before the first word;
         # iter_words makes the rest on the call
-        if args.marks is not None:
-            _check_marks(args.m, args.marks)
-        for word in iter_words(spec, args.m, args.len, budget=args.budget):
-            if args.marks is not None and word.count(s - 1) != args.marks:
-                continue
-            if s <= 10:
-                print("".join(str(c) for c in word))
-            else:
-                print(" ".join(str(c) for c in word))
+        marks = args.marks
+        if marks is not None:
+            _check_marks(args.m, marks)
+        listed = iter_words(spec, args.m, args.len, budget=args.budget)
+        if marks is not None:
+            listed = (w for w in listed if w.count(s - 1) == marks)
+        # letters are digits up to ten of them, space-separated beyond; the
+        # table holds one string per letter, the alphabet product already
+        # holds one int per letter
+        names = list(map(str, range(s))).__getitem__
+        sep = "" if s <= 10 else " "
+        sys.stdout.writelines(sep.join(map(names, w)) + "\n" for w in listed)
         return 0
     if args.marks is not None:
         count = count_marked_exhaustive(

@@ -242,11 +242,14 @@ def lift_triangle(c1: Triangle, m: int) -> Triangle:
     """Lift the m = 1 triangle to level m.
 
     c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) * C(i-1,k-1) * c1(n,i).  For m = 1
-    only the i = k term survives (0**0 = 1) and the input is returned value
-    for value.  The sum holds for every integer m: lifting the triangle
-    of f gives the triangle of ``invert_power(f, m - 1)``.
+    only the i = k term survives (0**0 = 1), so the input itself is
+    returned, as ``invert_power`` returns its input at m = 0.  The sum
+    holds for every integer m: lifting the triangle of f gives the
+    triangle of ``invert_power(f, m - 1)``.
     """
     m = _as_param("m", m)
+    if m == 1:
+        return c1
     size = c1.size
     powers = [(m - 1) ** d for d in range(size)]
     # weights[k-1][i-k] = (m-1)^(i-k) * C(i-1, k-1) for k <= i <= size
@@ -256,7 +259,7 @@ def lift_triangle(c1: Triangle, m: int) -> Triangle:
     ]
     return Triangle(
         [
-            sum(w * c for w, c in zip(weights[k - 1], row[k - 1 :]))
+            sum(map(operator.mul, weights[k - 1], row[k - 1 :]))
             for k in range(1, n + 1)
         ]
         for n, row in enumerate(c1.rows, start=1)

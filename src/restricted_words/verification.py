@@ -15,7 +15,10 @@ values, invert-transform values, triangle row sums, marked-word counts
 against triangle cells, each closed form against the convolution
 triangle, and, at m >= 2, the triangle lift against the directly-built
 triangle of the transformed base sequence.  Every comparison is reported
-with the number of agreeing checks or the first mismatch witness.
+with the number of agreeing checks or the first mismatch witness: each
+row of a table is compared in one ``==``, and only a table with a row
+that differs is walked cell by cell for its first witness, so the count
+and the witness are those of the walk.
 
 The harness also adjudicates the two candidate leading terms of the
 family-1 expanded c_m formula: the implemented (m-1)-power form agrees
@@ -80,6 +83,10 @@ def _from_route(routes: dict, kind: str, spec: CaseSpec, m: int, N: int, source:
     m = _as_param("m", m)
     if kind == "triangle" and m < 1:
         raise ValueError("triangles need --m >= 1")
+    # every sequence route refuses it alike; invert_power itself would
+    # undo -m transforms
+    if m < 0:
+        raise ValueError("m must be >= 0")
     N = _as_param("N", N)
     if N < 1:
         raise ValueError("--n must be >= 1")
@@ -188,6 +195,25 @@ def _aligned(keys: str, lhs, rhs):
                 yield (i + base, j + base), value, rhs[i][j]
 
 
+def _same(left, right) -> bool:
+    # left equals the first len(left) entries of right, whichever of list
+    # and tuple each is; a shorter right is no match
+    return tuple(left) == tuple(right[: len(left)])
+
+
+def _compare_table(label: str, keys: str, lhs, rhs) -> Comparison:
+    """``_compare`` over ``_aligned(keys, lhs, rhs)``, with each row of a
+    two-key table (the whole of a one-key one) first compared in one
+    ``==``: tables that agree count their cells without walking them, and
+    only a table with a differing row is walked for its first witness."""
+    if "," not in keys:
+        if _same(lhs, rhs):
+            return Comparison(label, len(lhs))
+    elif len(rhs) >= len(lhs) and all(map(_same, lhs, rhs)):
+        return Comparison(label, sum(map(len, lhs)))
+    return _compare(label, keys, _aligned(keys, lhs, rhs))
+
+
 def cross_check(
     spec: CaseSpec,
     m: int,
@@ -251,8 +277,7 @@ def cross_check(
         formula = triangle_rows(spec, m, triangle_n, "formula").rows
         rows.append(("explicit-triangle-vs-lift", "n,k", formula, cm.rows))
     comparisons = tuple(
-        _compare(label, keys, _aligned(keys, lhs, rhs))
-        for label, keys, lhs, rhs in rows
+        _compare_table(label, keys, lhs, rhs) for label, keys, lhs, rhs in rows
     )
     return CrossCheckReport(spec, m, comparisons, enum_len)
 

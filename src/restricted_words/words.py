@@ -3,7 +3,11 @@
 Three independent routes to the same numbers:
 
 * ``is_valid``: a pure per-word predicate, the most literal reading of
-  each family's constraint (maximal-run semantics spelled out).
+  each family's constraint (maximal-run semantics spelled out).  It
+  checks its arguments and letters, then applies the family's rule;
+  ``iter_words`` checks its arguments once per call and filters
+  ``itertools.product`` through that same rule, so listing the words of
+  a length pays no check per word.
 * ``count_exhaustive`` / ``marked_histogram``: enumerate every word of a
   given length as a head joined with a tail, the split-and-join of
   Horowitz and Sahni, each side grown one letter at a time at its one
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .cases import CaseSpec
@@ -130,7 +134,12 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     """
     (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
-    letters = _checked_letters(_as_letters(word), s)
+    return _rule(spec, _checked_letters(_as_letters(word), s))
+
+
+def _rule(spec: CaseSpec, letters: tuple[int, ...]) -> bool:
+    # the family's constraint on letters already checked to lie in the
+    # alphabet; the rules use the base alphabet only, not the level
     a = spec.base_alphabet
     cid = spec.case_id
     if cid == 1:
@@ -203,12 +212,13 @@ def iter_words(
 ) -> Iterator[tuple[int, ...]]:
     """All valid words of the given length, in lexicographic order.
 
-    The arguments and the budget are checked on the call, before the
-    first word is asked for."""
+    The arguments and the budget are checked once, on the call, before
+    the first word is asked for; the words of ``itertools.product`` are
+    then filtered through the family's rule alone, the one ``is_valid``
+    applies after its checks, with no check repeated per word."""
     m, length, budget = _integers(m=m, length=length, budget=budget)
     s = _enumerable_alphabet(spec, m, length, budget)
-    every = itertools.product(range(s), repeat=length)
-    return (word for word in every if is_valid(spec, m, word))
+    return filter(partial(_rule, spec), itertools.product(range(s), repeat=length))
 
 
 def max_enumerable_length(

@@ -20,7 +20,7 @@ from restricted_words.cli import build_parser, main
 from restricted_words.formats import parse_bfile, parse_json, parse_triangle_csv
 from restricted_words.sequences import composition_triangle, invert_power
 from restricted_words.verification import SEQUENCE_ROUTES, TRIANGLE_ROUTES
-from restricted_words.words import DEFAULT_BUDGET, count_automaton
+from restricted_words.words import DEFAULT_BUDGET, count_automaton, is_valid
 
 from conftest import GRID_SPECS, levels_for, point_id, spec_id
 
@@ -363,6 +363,45 @@ def test_words_list_marks_filter(capsys):
     assert all(w.count("2") == 1 for w in words)
 
 
+def _listing(spec, m, length, marks=None):
+    # the words of is_valid over the alphabet product, in that order, one
+    # line each: digits up to ten letters, space-separated letters beyond
+    s = spec.alphabet_size(m)
+    sep = "" if s <= 10 else " "
+    return "".join(
+        sep.join(str(c) for c in w) + "\n"
+        for w in itertools.product(range(s), repeat=length)
+        if is_valid(spec, m, w) and (marks is None or w.count(s - 1) == marks)
+    )
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+def test_words_list_prints_the_valid_words_in_order(capsys, spec):
+    for m in range(4):
+        for length in range(6):
+            argv = ["words", *spec_flags(spec), "--m", str(m), "--len", str(length)]
+            got = run_cli(capsys, *argv, "--list")
+            assert got == (0, _listing(spec, m, length), ""), argv
+            for marks in range(length + 1) if m else ():
+                got = run_cli(capsys, *argv, "--list", "--marks", str(marks))
+                assert got == (0, _listing(spec, m, length, marks), ""), argv
+
+
+@pytest.mark.parametrize("spec", [CaseSpec(1, a=2), CaseSpec(4)], ids=spec_id)
+def test_words_list_separates_letters_past_ten(capsys, spec):
+    # m = 9 makes 11 letters: the tenth and eleventh print as 9 and 10
+    for length in range(4):
+        argv = ["words", *spec_flags(spec), "--m", "9", "--len", str(length), "--list"]
+        assert run_cli(capsys, *argv) == (0, _listing(spec, 9, length), "")
+        for marks in (0, 1):
+            got = run_cli(capsys, *argv, "--marks", str(marks))
+            assert got == (0, _listing(spec, 9, length, marks), "")
+    _, out, _ = run_cli(
+        capsys, "words", *spec_flags(spec), "--m", "9", "--len", "2", "--list"
+    )
+    assert "10 10\n" in out.splitlines(keepends=True)
+
+
 def test_words_list_negative_marks_exits_2(capsys):
     argv = ["words", "--case", "4", "--m", "1", "--len", "3", "--marks", "-1"]
     for extra in ([], ["--list"]):
@@ -593,6 +632,19 @@ def test_source_choices_are_the_route_tables(command, routes):
         if action.dest == "source"
     )
     assert list(source.choices) == list(routes)
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("seq", []), ("export", ["--format", "bfile", "--out", "-"])]
+)
+def test_negative_level_exits_2_for_every_source(capsys, command, extra):
+    # invert_power would undo a transform at m = -1; no source runs there
+    for source in SEQUENCE_ROUTES:
+        got = run_cli(
+            capsys, command, "--case", "1", "--a", "2", "--m", "-1", "--n", "3",
+            "--source", source, *extra,
+        )
+        assert got == (2, "", "error: m must be >= 0\n"), source
 
 
 def test_export_unwritable_destination_exits_3(capsys, tmp_path):

@@ -261,7 +261,7 @@ class TestCompositionTriangle:
 class TestLiftTriangle:
     def test_level_one_is_identity(self):
         t = composition_triangle([1, 2, 3, 4])
-        assert lift_triangle(t, 1) == t
+        assert lift_triangle(t, 1) is t
 
     def test_lift_at_zero_gives_f_back(self):
         # m = 0 is accepted: the lift is the triangle of the inverse

@@ -358,6 +358,12 @@ def test_unknown_source_names_the_choices():
     )
 
 
+@pytest.mark.parametrize("source", SEQUENCE_ROUTES)
+def test_sequence_routes_refuse_a_negative_level(source):
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        sequence_values(CaseSpec(1, a=2), -1, 3, source)
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         cross_check(CaseSpec(4), 1, max_len=-1)
@@ -479,3 +485,73 @@ def test_routes_take_N_by_the_integer_rule(get, source):
 def test_adjudication_refuses_max_n_below_one():
     with pytest.raises(ValueError, match="^max_n must be >= 1$"):
         adjudicate_case1_leading_term(0)
+
+
+def _walk(label, keys, lhs, rhs):
+    # the reference: every cell of lhs against rhs in order, one at a time,
+    # stopping at the first that differs
+    base = 0 if keys.startswith("len") else 1
+    checked = 0
+    for i, left in enumerate(lhs):
+        cells = [(None, left)] if "," not in keys else enumerate(left)
+        for j, value in cells:
+            if j is None:
+                at, other = (i + base,), rhs[i]
+            else:
+                at, other = (i + base, j + base), rhs[i][j]
+            checked += 1
+            if value != other:
+                witness = dict(zip(keys.split(","), at), lhs=value, rhs=other)
+                return Comparison(label, checked, witness)
+    return Comparison(label, checked)
+
+
+@st.composite
+def _tables(draw, short=False):
+    # (keys, lhs, rhs): rhs repeats lhs, rows or entries padded at the end;
+    # either one cell of rhs changed or, when short, the last cell or row
+    # of lhs missing from it
+    keys = draw(st.sampled_from(["len", "n", "len,marks", "n,k"]))
+    cell = st.integers(-2, 2)
+    pad = st.lists(cell, max_size=2)
+    kind = st.sampled_from([list, tuple])
+    if "," not in keys:
+        lhs = draw(st.lists(cell, min_size=short, max_size=8))
+        rhs = list(lhs) + draw(pad)
+        cells = [(i,) for i in range(len(lhs))]
+    else:
+        row = st.tuples(kind, st.lists(cell, min_size=short, max_size=5))
+        lhs = [k(r) for k, r in draw(st.lists(row, min_size=short, max_size=5))]
+        rhs = [list(r) + draw(pad) for r in lhs]
+        rhs += draw(st.lists(pad, max_size=2))
+        cells = [(i, j) for i, r in enumerate(lhs) for j in range(len(r))]
+    if short:
+        i, *j = cells[-1]
+        if j and draw(st.booleans()):
+            rhs[i] = rhs[i][: j[0]]
+            i += 1
+        del rhs[i:]
+    elif cells and draw(st.booleans()):
+        i, *j = draw(st.sampled_from(cells))
+        holder = rhs[i] if j else rhs
+        holder[j[0] if j else i] += draw(st.sampled_from([-1, 1]))
+    if "," in keys:
+        rhs = [draw(kind)(r) for r in rhs]
+    return keys, draw(kind)(lhs), draw(kind)(rhs)
+
+
+@given(_tables())
+@settings(max_examples=300)
+def test_table_comparison_matches_the_cell_walk(table):
+    keys, lhs, rhs = table
+    assert verification._compare_table("t", keys, lhs, rhs) == _walk(
+        "t", keys, lhs, rhs
+    )
+
+
+@given(_tables(short=True))
+@settings(max_examples=100)
+def test_short_right_hand_side_still_raises(table):
+    keys, lhs, rhs = table
+    with pytest.raises(IndexError):
+        verification._compare_table("t", keys, lhs, rhs)

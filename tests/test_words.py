@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import GRID_POINTS, point_id, spec_id
+from conftest import GRID_POINTS, GRID_SPECS, point_id, spec_id
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -647,6 +647,18 @@ class TestIterWords:
         ]
         assert got == expect
         assert len(got) == count_exhaustive(spec, m, 3)
+
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+    def test_filters_the_product_by_the_predicate(self, spec):
+        for m in range(4):
+            s = spec.alphabet_size(m)
+            for length in range(6):
+                expect = [
+                    w
+                    for w in itertools.product(range(s), repeat=length)
+                    if is_valid(spec, m, w)
+                ]
+                assert list(iter_words(spec, m, length)) == expect, (m, length)
 
     def test_budget_applies(self):
         with pytest.raises(BudgetExceeded):
