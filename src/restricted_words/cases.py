@@ -416,14 +416,14 @@ def triangle_formula_available(spec: CaseSpec, m: int) -> bool:
 def triangle_formula_value(spec: CaseSpec, m: int, n: int, k: int) -> int:
     """Level-m triangle entry c_m(n,k), m >= 1, from the closed forms.
 
-    Family 2 at m = 2 reads the paper's own c_2 (``c2_explicit_case2``);
-    every other point lifts the closed-form c_1 row to level m, as
-    :func:`cm_explicit_case1` does for family 1.
+    Family 2 at m = 2 reads the paper's own c_2, the row of
+    :func:`c2_explicit_case2`; every other point lifts the closed-form c_1
+    row to level m, as :func:`cm_explicit_case1` does for family 1.
     """
     m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
-    if not triangle_formula_available(spec, m):
+    if m < 1:
         raise ValueError("m must be >= 1")
     _check_cell(n, k)
     if spec.case_id == 2 and m == 2:
-        return c2_explicit_case2(spec.a, n, k)
+        return _c2_row(spec.a, n)[k - 1]
     return _lift(_c1_row(spec.case_id, spec.a, spec.b, n)[k - 1 :], m, k)

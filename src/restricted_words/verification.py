@@ -15,10 +15,10 @@ values, invert-transform values, triangle row sums, marked-word counts
 against triangle cells, each closed form against the convolution
 triangle, and, at m >= 2, the triangle lift against the directly-built
 triangle of the transformed base sequence.  Every comparison is reported
-with the number of agreeing checks or the first mismatch witness: each
-row of a table is compared in one ``==``, and only a table with a row
-that differs is walked cell by cell for its first witness, so the count
-and the witness are those of the walk.
+with the number of agreeing checks or the first mismatch witness.  One
+walk, :func:`_compare_table`, makes every comparison: it compares each
+row in one ``==`` and walks only the first row that differs for its
+first witness, so the count and the witness are those of a cell walk.
 
 The harness also adjudicates the two candidate leading terms of the
 family-1 expanded c_m formula: the implemented (m-1)-power form agrees
@@ -33,6 +33,7 @@ catch it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import cases, words
@@ -46,6 +47,11 @@ from .sequences import (
     row_sums,
 )
 from .words import DEFAULT_BUDGET
+
+
+def _cells(cell, N: int) -> list[list[int]]:
+    """The table of ``cell(n, k)``, 1 <= k <= n <= N."""
+    return [[cell(n, k) for k in range(1, n + 1)] for n in range(1, N + 1)]
 
 
 # name -> (spec, m, N) -> f_m(1..N); every route gives the same integers
@@ -63,10 +69,7 @@ TRIANGLE_ROUTES = {
         invert_power(cases.f0_prefix(spec, N), m - 1)
     ),
     "formula": lambda spec, m, N: Triangle(
-        [
-            [cases.triangle_formula_value(spec, m, n, k) for k in range(1, n + 1)]
-            for n in range(1, N + 1)
-        ]
+        _cells(partial(cases.triangle_formula_value, spec, m), N)
     ),
     "eq3": lambda spec, m, N: lift_triangle(
         composition_triangle(cases.f0_prefix(spec, N)), m
@@ -167,51 +170,28 @@ class CrossCheckReport(NamedTuple):
         return "\n".join([head] + ["  " + c.describe() for c in self.comparisons])
 
 
-def _compare(label: str, keys: str, pairs) -> Comparison:
-    """Check ``(at, lhs, rhs)`` triples in order; the comma-separated
-    ``keys`` name the coordinates of ``at`` in a mismatch witness."""
-    checked = 0
-    for at, lhs, rhs in pairs:
-        checked += 1
-        if lhs != rhs:
-            witness = dict(zip(keys.split(","), at))
-            witness["lhs"] = lhs
-            witness["rhs"] = rhs
-            return Comparison(label, checked, witness)
-    return Comparison(label, checked)
-
-
-def _aligned(keys: str, lhs, rhs):
-    """``(at, lhs entry, rhs entry)`` over every entry of ``lhs``, a list
-    of values for one key and a list of rows for two.  Word lengths and
-    mark counts (``len``) count from 0, indices (``n``) from 1; ``rhs``
-    covers at least every position of ``lhs``."""
-    base = 0 if keys.startswith("len") else 1
-    for i, left in enumerate(lhs):
-        if "," not in keys:
-            yield (i + base,), left, rhs[i]
-        else:
-            for j, value in enumerate(left):
-                yield (i + base, j + base), value, rhs[i][j]
-
-
-def _same(left, right) -> bool:
-    # left equals the first len(left) entries of right, whichever of list
-    # and tuple each is; a shorter right is no match
-    return tuple(left) == tuple(right[: len(left)])
-
-
 def _compare_table(label: str, keys: str, lhs, rhs) -> Comparison:
-    """``_compare`` over ``_aligned(keys, lhs, rhs)``, with each row of a
-    two-key table (the whole of a one-key one) first compared in one
-    ``==``: tables that agree count their cells without walking them, and
-    only a table with a differing row is walked for its first witness."""
-    if "," not in keys:
-        if _same(lhs, rhs):
-            return Comparison(label, len(lhs))
-    elif len(rhs) >= len(lhs) and all(map(_same, lhs, rhs)):
-        return Comparison(label, sum(map(len, lhs)))
-    return _compare(label, keys, _aligned(keys, lhs, rhs))
+    """Walk ``lhs`` against ``rhs`` to the first cell that differs, named
+    in the witness by the comma-separated ``keys``: word lengths and mark
+    counts (``len``) count from 0, indices (``n``) from 1.  A one-key table
+    is one row, a two-key one a list of rows.  Each row is compared in one
+    ``==`` with the same-length prefix of its ``rhs`` row, and only a row
+    that differs is walked, so ``checked`` and the witness are the cell
+    walk's; a shorter ``rhs`` raises ``IndexError``."""
+    names = keys.split(",")
+    base = 0 if keys.startswith("len") else 1
+    if len(names) == 1:
+        lhs, rhs = [lhs], [rhs]
+    checked = 0
+    for i, left in enumerate(lhs):
+        right = rhs[i]
+        if tuple(left) != tuple(right[: len(left)]):
+            j = next(j for j, value in enumerate(left) if value != right[j])
+            at = (j + base,) if len(names) == 1 else (i + base, j + base)
+            witness = dict(zip(names, at), lhs=left[j], rhs=right[j])
+            return Comparison(label, checked + j + 1, witness)
+        checked += len(left)
+    return Comparison(label, checked)
 
 
 def cross_check(
@@ -258,16 +238,10 @@ def cross_check(
             ("marked-exhaustive-vs-triangle", "len,marks", hists, cm.rows),
             ("marked-automaton-vs-triangle", "len,marks", marked_rows, cm.rows),
         ]
-    explicit_c1 = [
-        [cases.c1_explicit(spec, n, k) for k in range(1, n + 1)]
-        for n in range(1, triangle_n + 1)
-    ]
+    explicit_c1 = _cells(partial(cases.c1_explicit, spec), triangle_n)
     rows.append(("explicit-c1-vs-convolution", "n,k", explicit_c1, c1.rows))
     if spec.case_id == 3 and spec.a == spec.b + 1:
-        repunit = [
-            [cases.c1_case3_repunit(spec.b, n, k) for k in range(1, n + 1)]
-            for n in range(1, triangle_n + 1)
-        ]
+        repunit = _cells(partial(cases.c1_case3_repunit, spec.b), triangle_n)
         rows.append(
             ("repunit-specialization-vs-field-form", "n,k", repunit, explicit_c1)
         )
@@ -335,20 +309,25 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
     printed = cases.cm_explicit_case1_alt(1, 2, 2, 1)
     corrected = cases.cm_explicit_case1(1, 2, 2, 1)
 
-    def against_lift(form):
-        for a in (1, 2, 3):
-            for m in (1, 2, 3):
-                lift = triangle_rows(CaseSpec(1, a=a), m, max_n, "eq3")
-                for n in range(1, max_n + 1):
-                    for k in range(1, n + 1):
-                        yield (a, m, n, k), form(a, m, n, k), lift.at(n, k)
+    lifts = {
+        (a, m): triangle_rows(CaseSpec(1, a=a), m, max_n, "eq3").rows
+        for a in (1, 2, 3)
+        for m in (1, 2, 3)
+    }
 
-    agreement = _compare(
-        "corrected-vs-lift", "a,m,n,k", against_lift(cases.cm_explicit_case1)
-    )
-    variant = _compare(
-        "m-power-vs-lift", "a,m,n,k", against_lift(cases.cm_explicit_case1_alt)
-    )
+    def against_lift(label, form):
+        # the (a, m) tables in order, one count and one witness across them
+        checked = 0
+        for (a, m), lift in lifts.items():
+            cells = _cells(partial(form, a, m), max_n)
+            table = _compare_table(label, "n,k", cells, lift)
+            checked += table.checked
+            if not table.ok:
+                return Comparison(label, checked, {"a": a, "m": m, **table.witness})
+        return Comparison(label, checked)
+
+    agreement = against_lift("corrected-vs-lift", cases.cm_explicit_case1)
+    variant = against_lift("m-power-vs-lift", cases.cm_explicit_case1_alt)
     return AdjudicationReport(
         witness, printed, corrected, lift_at, agreement, variant.witness
     )

@@ -235,16 +235,21 @@ def test_corrupted_formula_is_caught(monkeypatch):
             (CaseSpec(3, a=3, b=2), 1),
             "repunit-specialization-vs-field-form",
         ),
-        ("c2_explicit_case2", (CaseSpec(2, a=2), 2), "explicit-triangle-vs-lift"),
+        ("_c2_row", (CaseSpec(2, a=2), 2), "explicit-triangle-vs-lift"),
     ],
 )
 def test_corrupted_closed_form_cell_is_caught(monkeypatch, name, point, label):
     # one wrong cell (n, k) = (6, 3) fails its own comparison and no other
     real = getattr(cases, name)
 
-    def corrupt(param, n, k):
-        value = real(param, n, k)
-        return value + 1 if (n, k) == (6, 3) else value
+    def corrupt(param, n, *k):
+        # a cell function gets (n, k), a row function n alone
+        value = real(param, n, *k)
+        if n != 6:
+            return value
+        if k:
+            return value + 1 if k == (3,) else value
+        return value[:2] + (value[2] + 1,) + value[3:]
 
     monkeypatch.setattr(cases, name, corrupt)
     report = cross_check(*point)
@@ -386,6 +391,38 @@ class TestAdjudication:
         text = adjudicate_case1_leading_term(max_n=6).describe()
         assert "corrected form confirmed" in text
         assert "m-power variant" in text
+
+    def test_count_and_witness_run_across_the_tables(self):
+        # nine (a, m) tables of 78 cells each; the variant fails first in
+        # the a = 1, m = 1 table
+        report = adjudicate_case1_leading_term()
+        assert report.corrected_agreement == Comparison("corrected-vs-lift", 702)
+        assert report.variant_first_mismatch == {
+            "a": 1, "m": 1, "n": 2, "k": 1, "lhs": 2, "rhs": 1
+        }
+
+    def test_corrupted_form_is_caught_in_a_later_table(self, monkeypatch):
+        real = cases.cm_explicit_case1
+
+        def corrupt(a, m, n, k):
+            value = real(a, m, n, k)
+            return value + 1 if (a, m, n, k) == (2, 3, 7, 4) else value
+
+        monkeypatch.setattr(cases, "cm_explicit_case1", corrupt)
+        report = adjudicate_case1_leading_term()
+        # five whole tables of 78 cells, then 21 + 4 cells of the sixth
+        witness = {"a": 2, "m": 3, "n": 7, "k": 4, "lhs": 1129, "rhs": 1128}
+        assert report.corrected_agreement == Comparison(
+            "corrected-vs-lift", 415, witness
+        )
+        assert not report.ok
+        # dict equality ignores key order; the text pins a, m, n, k
+        lines = report.describe().splitlines()
+        assert (
+            "  corrected-vs-lift: MISMATCH at a=2, m=3, n=7, k=4, lhs=1129, rhs=1128"
+            in lines
+        )
+        assert lines[-1] == "  verdict: INCONCLUSIVE"
 
 
 # each record with a sample and the repr the frozen dataclasses printed
