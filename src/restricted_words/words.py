@@ -14,27 +14,31 @@ Three independent routes to the same numbers:
   open end.  Tails of l + 1 letters, in lexicographic order, are the
   tails of l letters with every letter put in front of them; heads of
   l + 1 letters are the heads of l letters with every letter put after
-  them.  Each word gets its own validity bit: the shorter word's bit
-  ANDed with the rule at the open end.  Families 1, 3 and 4 test the new
-  pair of adjacent letters against one forbidden-pair rule; for the
-  run-length families 2 and 5 a new letter unlike the one at the open
-  end closes the run there, which must be allowed.  A side closes its
-  far end at its first letter (family 4 ends no tail on the 1 that owes
-  a 0 and starts no head on a 0), so it keeps only its validity bit, the
-  letter at its open end and, for families 2 and 5, the run there.
-  Tails of l letters, their front closed, give the words of length l,
-  with their number of marked letters grown alongside.  Longer words
-  join tails of ``t`` letters, ``s**t`` the largest power of the
-  alphabet size within 2^17 words but ``t`` at least 1 (2^20-word levels
-  overflow a 2 MB L2 cache), with heads of 1 to L - t letters.  Each
-  valid head is joined with every tail in one block mask, from the
-  head's last letter (and last run) and each tail's first: the same pair
-  rule on the boundary pair, or the run across the boundary checked as
-  one run.  So every word gets its own validity bit from its own
-  letters, with no automaton and no mask shared between heads.  The
-  masks add into a counter per tail and number of head marks, and the
-  tails' letters are folded in once per length, each fold counting in
-  the narrowest unsigned type that holds the number of words it counts.
+  them.  In this block layout the letter at the open end is the most
+  significant digit of a word's index, so block y of a level holds the
+  words whose open end is y, and a side keeps only each word's validity
+  bit and, for the run families 2 and 5, the run at its open end; its
+  far end is closed at its first letter (family 4 ends no tail on the 1
+  that owes a 0 and starts no head on a 0).  The rule at the open end is
+  stated once per alphabet: for families 1, 3 and 4 a table of the s x s
+  letter pairs, built only once some word has two letters, ANDed with
+  the shorter level block by block; for families 2 and 5 a divisor per
+  letter of every run's length, a new letter unlike y closing the run of
+  y and the same letter carrying it on.  Tails of l letters, their front
+  closed, give the words of length l.  Longer words join tails of ``t``
+  letters, ``s**t`` the largest power of the alphabet size within 2^17
+  words but ``t`` at least 1 (2^20-word levels overflow a 2 MB L2
+  cache), with heads of 1 to L - t letters.  A valid head with last
+  letter x adds the tails' validity bytes into its counters in one call
+  and takes back the blocks of tails whose first letter is barred after
+  x; for the run families it adds every tail with its front run closed
+  if its own last run is allowed, or else block x alone, where the two
+  runs are one.  So every (head, tail) word gets exactly one counter
+  update, from the head's own last letter and run and the tail's own
+  bit, with no automaton and no product of counts.  The counters are
+  kept per tail and number of head marks, and the tails' letters are
+  folded in once per length, each fold counting in the narrowest
+  unsigned type that holds the number of words it counts.
   ``marked_histograms`` reads every shorter length off the same levels.
   Refuses to enumerate more than ``budget`` words, charging a one-letter
   alphabet as two letters.
@@ -70,7 +74,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .cases import CaseSpec
 from .sequences import _as_param
@@ -239,168 +243,202 @@ def max_enumerable_length(
 
 
 class _Side(NamedTuple):
-    # words of some number of letters with one end left open, the front of
-    # a tail or the back of a head: ok where every rule holds but those at
-    # the open end; the letter there and, for the run families 2 and 5, the
-    # length of the run there.  The empty word has no letter and a run of
-    # length 0 in the counters' type.
+    # every word of some number of letters with one end left open, the
+    # front of a tail or the back of a head, in block layout: the letter at
+    # the open end is the most significant digit of a word's index, so row
+    # y of each array holds the words whose open end is y.  ok where every
+    # rule holds but those at the open end; for the run families 2 and 5,
+    # the length of the run there.
     ok: np.ndarray
-    end: np.ndarray | None
     run: np.ndarray | None
 
 
-def _pair_rule(spec: CaseSpec) -> Callable | None:
-    # families 1, 3 and 4 forbid some pairs of adjacent letters: bad(cur,
-    # nxt) marks them; None for the run families
+def _end_rule(spec: CaseSpec, s: int, length: int) -> np.ndarray | None:
+    # the rule at an open end, for words of up to `length` letters.  Families
+    # 1, 3 and 4 forbid some pairs of adjacent letters: allow[x, y] says
+    # whether y may follow x, built only when some word has two letters, so
+    # that s**2 <= s**length is within the budget.  The run families 2 and 5
+    # restrict the runs of their first letters, div[x] dividing the length
+    # of every run of x: family 2's letters below a by 2, family 5's 0 by 2
+    # and 1 by 3.  Every later letter's divisor is 1: its runs are free.
+    import numpy as np
+
     a = spec.base_alphabet
     cid = spec.case_id
+    if cid == 2:
+        return np.full(a, 2, dtype=np.uint8)
+    if cid == 5:
+        return np.array([2, 3], dtype=np.uint8)
+    if length < 2:
+        return None
+    cur = np.arange(s, dtype=np.min_scalar_type(s))[:, None]
+    nxt = cur.T
     if cid == 1:
-        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-            return (cur == nxt) & (cur < a)
+        bad = (cur == nxt) & (cur < a)
     elif cid == 3:
-        # both tests of nxt first: against a column of letters put in front
-        # of the tails only the last & then spans every new word
-        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-            return (cur == 0) & ((nxt >= 1) & (nxt <= spec.b))
-    elif cid == 4:
+        bad = (cur == 0) & ((nxt >= 1) & (nxt <= spec.b))
+    else:
         # runs of 1 have length 1, a 1 is followed by a 0, a 0 is preceded
         # by a 0 or a 1-run start
-        def bad(cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-            return ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
-    else:
-        return None
-    return bad
+        bad = ((cur == 1) & (nxt != 0)) | ((cur > 1) & (nxt == 0))
+    return ~bad
 
 
-def _run_ok(spec: CaseSpec, letters: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    # families 2 and 5: whether closed runs of these letters and lengths
-    # are allowed
-    if spec.case_id == 2:
-        return (letters >= spec.base_alphabet) | _divisible(runs, 2)
-    return ((letters != 0) | _divisible(runs, 2)) & (
-        (letters != 1) | _divisible(runs, 3)
-    )
+def _residue(runs: np.ndarray, div: np.ndarray) -> np.ndarray:
+    # the run lengths of the restricted letters, rows 0..len(div) - 1 of
+    # runs in rows by letter, each modulo its letter's divisor.  numpy's
+    # integer `%` is several times slower than floor division, which is
+    # fast along a row, by one divisor
+    runs = runs[: len(div)]
+    d = div[:, None]
+    return runs - runs // d * d
 
 
-def _divisible(runs: np.ndarray, d: int) -> np.ndarray:
-    # numpy's integer remainder is several times slower than its floor
-    # division by a scalar, so test divisibility without `%`, and by 2 with
-    # a bit mask, faster still
-    if d == 2:
-        return (runs & 1) == 0
-    return runs // d * d == runs
+def _run_closed(side: _Side, div: np.ndarray) -> np.ndarray:
+    # side.ok with the run at the open end closed too, as it must be allowed
+    closed = side.ok.copy()
+    closed[: len(div)] &= _residue(side.run, div) == 0
+    return closed
 
 
-def _spread(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # the values broadcast to the shape and written out
+def _grow(side: _Side, rule: np.ndarray, front: bool) -> _Side:
+    # every letter z added at the open end of every word, the front of a
+    # tail or the back of a head: row z of the result holds s blocks, block
+    # y the words whose open end was y
     import numpy as np
 
-    out = np.empty(shape, dtype=values.dtype)
-    out[...] = values
-    return out
-
-
-def _grow(spec: CaseSpec, side: _Side, letters: np.ndarray, front: bool) -> _Side:
-    # the side's words with a letter added at the open end of each, the
-    # front of a tail or the back of a head: elementwise where the letters
-    # have the side's shape, and every letter with every word for a column
-    # of s letters against a row of n words, giving s rows of n words
-    import numpy as np
-
-    bad = _pair_rule(spec)
-    if side.end is None:
-        # each letter alone, its far end closed at once: family 4 ends no
-        # tail on the 1 that owes a 0 and starts no head on a 0
-        if spec.case_id == 4:
-            ok = letters != (1 if front else 0)
-        else:
-            ok = np.ones(letters.shape, dtype=bool)
-        run = None if bad is not None else _spread(side.run + 1, letters.shape)
-        return _Side(ok, letters, run)
-    if bad is not None:
-        pair = (letters, side.end) if front else (side.end, letters)
-        ok = side.ok & ~bad(*pair)
-        return _Side(ok, _spread(letters, ok.shape), None)
-    # a new letter unlike the one at the open end closes the run there,
-    # which must be allowed: the far end is closed already
-    same = letters == side.end
-    ok = side.ok & (same | _run_ok(spec, side.end, side.run))
-    run = same * side.run
-    run += 1
-    return _Side(ok, _spread(letters, ok.shape), run)
+    s = len(side.ok)
+    if side.run is None:
+        # the pair rule on the new adjacent pair, (z, y) or (y, z)
+        allow = rule if front else rule.T
+        return _Side((allow[:, :, None] & side.ok).reshape(s, -1), None)
+    # z unlike y closes the run of y, which must be allowed; z = y carries
+    # the run on
+    grown = np.empty((s,) + side.ok.shape, dtype=bool)
+    grown[...] = _run_closed(side, rule)
+    run = np.ones(grown.shape, dtype=side.run.dtype)
+    diagonal = np.arange(s)
+    grown[diagonal, diagonal] = side.ok
+    run[diagonal, diagonal] = side.run + 1
+    return _Side(grown.reshape(s, -1), run.reshape(s, -1))
 
 
 def _levels(
-    spec: CaseSpec, m: int, top: int, front: bool
-) -> Iterator[tuple[_Side, np.ndarray]]:
-    # for l = 0, 1, ..., top: every word of l letters, open at the front
-    # (tails, in lexicographic order) or at the back (heads), and each
-    # word's number of marked letters (s - 1).  Level l + 1 is every letter
-    # added at the open end of level l.
+    spec: CaseSpec, s: int, top: int, front: bool, rule: np.ndarray | None
+) -> Iterator[_Side]:
+    # for l = 1, ..., top: every word of l letters, open at the front
+    # (tails, in lexicographic order) or at the back (heads).  Level l + 1
+    # is every letter added at the open end of level l.
     import numpy as np
 
-    s = spec.alphabet_size(m)
-    column = np.arange(s, dtype=np.min_scalar_type(-s))[:, None]
-    marked = column == s - 1
-    # the empty word's marks and run, both counting up to top letters
-    marks = np.zeros(1, dtype=np.min_scalar_type(top))
-    level = _Side(np.ones(1, dtype=bool), None, marks)
-    yield level, marks
+    # each letter alone, its far end closed: family 4 ends no tail on the 1
+    # that owes a 0 and starts no head on a 0
+    ok = np.ones((s, 1), dtype=bool)
+    if spec.case_id == 4:
+        ok[1 if front else 0] = False
+    run = None
+    if spec.case_id in (2, 5):
+        run = np.ones((s, 1), dtype=np.min_scalar_type(top))
+    level = _Side(ok, run)
+    for l in range(top):
+        if l:
+            level = _grow(level, rule, front)
+        yield level
+
+
+def _marks(s: int, top: int) -> Iterator[np.ndarray]:
+    # for l = 1, ..., top: the number of marked letters (s - 1) of every
+    # word of a level of l letters, in the levels' block layout
+    import numpy as np
+
+    counts = np.min_scalar_type(top)
+    marked = (np.arange(s) == s - 1).astype(counts)[:, None]
+    marks = np.zeros(1, dtype=counts)
     for _ in range(top):
-        grown = _grow(spec, level, column, front)
-        level = _Side._make(None if f is None else f.ravel() for f in grown)
-        marks = (marks + marked).ravel()
-        yield level, marks
+        marks = (marked + marks).ravel()
+        yield marks
 
 
-def _closed(spec: CaseSpec, tails: _Side) -> np.ndarray:
+def _closed(spec: CaseSpec, tails: _Side, rule: np.ndarray | None) -> np.ndarray:
     # the validity of the tails' words with their front closed too: the run
     # there must be allowed, and family 4 starts no word on a 0
-    if tails.end is None:
-        return tails.ok
     if tails.run is not None:
-        return tails.ok & _run_ok(spec, tails.end, tails.run)
+        return _run_closed(tails, rule)
     if spec.case_id == 4:
-        return tails.ok & (tails.end != 0)
+        ok = tails.ok.copy()
+        ok[0] = False
+        return ok
     return tails.ok
 
 
-def _joins(
-    spec: CaseSpec, heads: _Side, tails: _Side
-) -> Iterator[tuple[int, np.ndarray]]:
-    # for every valid head, its index and the validity of the words made of
-    # it and each tail: one block mask per head, from the head's last letter
-    # (and last run) filled into a row and the tails' first letters (and
-    # first runs).  Each side has its far end closed already.
+def _barred(allow: np.ndarray) -> dict[int, list[tuple[int, int]]]:
+    # for each letter x, the spans lo..hi - 1 of consecutive letters that
+    # may not follow x
     import numpy as np
 
-    valid = np.flatnonzero(heads.ok)
-    letter = np.empty_like(tails.end)
-    bad = _pair_rule(spec)
-    if bad is not None:
-        for i in valid:
-            # the same pair rule on the boundary pair
-            letter.fill(heads.end[i])
-            yield i, tails.ok & ~bad(letter, tails.end)
-        return
-    # where the letters match, the head's last run and the tail's first are
-    # one run across the boundary, checked as one; elsewhere each is
-    # checked alone
-    closes = _run_ok(spec, heads.end, heads.run)
-    # a run across the boundary may outgrow either side's counter
-    longest = int(heads.run.max()) + int(tails.run.max())
-    cross = np.empty(len(letter), dtype=np.min_scalar_type(longest))
-    same = np.empty(len(letter), dtype=bool)
-    for i in valid:
-        letter.fill(heads.end[i])
-        np.equal(letter, tails.end, out=same)
-        cross.fill(heads.run[i])
-        cross *= same
-        cross += tails.run
-        mask = tails.ok & _run_ok(spec, tails.end, cross)
-        if not closes[i]:
-            mask &= same
-        yield i, mask
+    cells = np.flatnonzero(~allow)
+    x, y = np.divmod(cells, len(allow))
+    # a span starts at a row's first letter or after an allowed one
+    starts = np.ones(len(cells), dtype=bool)
+    starts[1:] = (cells[1:] != cells[:-1] + 1) | (y[1:] == 0)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(cells)) - 1
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for row, lo, hi in zip(x[first].tolist(), y[first].tolist(), (y[last] + 1).tolist()):
+        spans.setdefault(row, []).append((lo, hi))
+    return spans
+
+
+def _joins(
+    heads: Iterable[tuple[_Side, np.ndarray]], tails: _Side, rule: np.ndarray, first: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    # for h = first, first + 1, ...: every valid head of h letters, with its
+    # marks, joined with every tail.  acc[j, y] counts, by tail in block y,
+    # the valid words whose head holds j marked letters.  A head adds its
+    # words in one call, and takes back in one call each span of letters
+    # barred after it, so every word gets one counter update, from the
+    # head's own last letter x (and last run) and the tail's own bit.  Each
+    # side has its far end closed already.
+    import numpy as np
+
+    if tails.run is None:
+        ok = tails.ok.view(np.uint8)
+        spans = _barred(rule)
+    else:
+        # a head's last run of r letters x closes when the divisor d of x
+        # divides r: every tail then joins with its own front run closed.
+        # Otherwise only block x joins, as one run of r + q letters with the
+        # tail's first q, which d divides exactly when it divides r mod d + q
+        closed = _run_closed(tails, rule).view(np.uint8)
+        rest = _residue(tails.run, rule)
+        bits = [closed] + [
+            (tails.ok[: len(rule)] & (_residue(rest + r, rule) == 0)).view(np.uint8)
+            for r in range(1, int(rule.max()))
+        ]
+    for h, (head, marks) in enumerate(heads, 1):
+        if h < first:
+            continue
+        # the narrowest type that counts all s**h heads joining a tail
+        acc = np.zeros((h + 1,) + tails.ok.shape, dtype=np.min_scalar_type(head.ok.size))
+        valid = np.flatnonzero(head.ok)
+        ends = (valid // head.ok.shape[1]).tolist()
+        counts = marks[valid].tolist()
+        if head.run is None:
+            for x, j in zip(ends, counts):
+                row = acc[j]
+                row += ok
+                for lo, hi in spans.get(x, ()):
+                    row[lo:hi] -= ok[lo:hi]
+        else:
+            rests = np.zeros(head.ok.shape, dtype=head.run.dtype)
+            rests[: len(rule)] = _residue(head.run, rule)
+            rests = rests.ravel()[valid].tolist()
+            for x, j, r in zip(ends, counts, rests):
+                if r:
+                    acc[j, x] += bits[r][x]
+                else:
+                    acc[j] += bits[0]
+        yield h, acc
 
 
 def _fold(acc: np.ndarray, s: int, bound: int) -> np.ndarray:
@@ -427,27 +465,26 @@ def _histograms(
     spec: CaseSpec, m: int, length: int, shortest: int
 ) -> list[list[int]]:
     # counts of valid words by number of marked letters at each length l in
-    # shortest..length: a length l <= t off the tails' level l with its
-    # front closed; a longer one from the joins of every head of l - t
-    # letters with every tail, of t letters
+    # shortest..length: the empty word alone at 0, a length 1 <= l <= t off
+    # the tails' level l with its front closed, a longer one from the joins
+    # of every head of l - t letters with every tail, of t letters
     import numpy as np
 
     s = spec.alphabet_size(m)
     t = min(length, 1)
     while t < length and s ** (t + 1) <= _CHUNK_ROWS:
         t += 1
-    hists = []
-    for l, (tails, marks) in enumerate(_levels(spec, m, t, front=True)):
+    rule = _end_rule(spec, s, length)
+    hists = [[1]] if shortest == 0 else []
+    levels = zip(_levels(spec, s, t, True, rule), _marks(s, t))
+    for l, (tails, marks) in enumerate(levels, 1):
         if l >= shortest:
-            hist = np.bincount(marks[_closed(spec, tails)], minlength=l + 1)
-            hists.append(hist.tolist())
-    for h, (heads, marks) in enumerate(_levels(spec, m, length - t, front=False)):
-        if h and t + h >= shortest:
-            # the narrowest type that counts all s**h heads joining a tail
-            acc = np.zeros((h + 1, s**t), dtype=np.min_scalar_type(s**h))
-            for i, mask in _joins(spec, heads, tails):
-                acc[marks[i]] += mask.view(np.uint8)
-            hists.append(_fold(acc, s, s**h).tolist())
+            closed = _closed(spec, tails, rule).ravel()
+            hists.append(np.bincount(marks[closed], minlength=l + 1).tolist())
+    if length > t:
+        heads = zip(_levels(spec, s, length - t, False, rule), _marks(s, length - t))
+        for h, acc in _joins(heads, tails, rule, shortest - t):
+            hists.append(_fold(acc.reshape(h + 1, -1), s, s**h).tolist())
     return hists
 
 

@@ -288,38 +288,80 @@ MASK_POINTS = [
 ]
 
 
-def _side_of(spec, m, rows, front):
-    # every row open at one end, grown one letter at a time as _levels grows
-    # a tail (front) or a head (back), but elementwise
-    letters = np.array(rows, dtype=np.min_scalar_type(-spec.alphabet_size(m)))
-    run = np.zeros(1, dtype=np.min_scalar_type(letters.shape[1]))
-    side = words._Side(np.ones(1, dtype=bool), None, run)
-    for column in letters.T[::-1] if front else letters.T:
-        side = words._grow(spec, side, column, front)
-    return side
+def _index(word, s):
+    # a word's index in itertools.product's order over s letters
+    index = 0
+    for letter in word:
+        index = index * s + letter
+    return index
 
 
-def _mask_of(spec, m, rows):
-    # every row grown as a tail and closed at its front; rows of no letters
-    # are each the one empty word
-    mask = words._closed(spec, _side_of(spec, m, rows, front=True))
-    return np.broadcast_to(mask, len(rows)).tolist()
+def _level_of(spec, m, length, front):
+    # every word of the given length, open at the front (a tail) or at the
+    # back (a head), as _levels grows it, with the end rule it grew by
+    s = spec.alphabet_size(m)
+    rule = words._end_rule(spec, s, 2)
+    *_, level = words._levels(spec, s, length, front, rule)
+    return level, rule
+
+
+def _runs_of(spec, m, letter, count, dtype):
+    # a side whose row `letter` holds count words, open-end runs of 1 to
+    # count letters, in the counters' dtype; every other rule holds
+    s = spec.alphabet_size(m)
+    run = np.ones((s, count), dtype=dtype)
+    run[letter] = np.arange(1, count + 1)
+    return words._Side(np.ones((s, count), dtype=bool), run)
 
 
 class TestRunLengthMask:
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_predicate(self, data):
-        spec, m = data.draw(st.sampled_from(MASK_POINTS))
+    def test_matches_predicate(self):
+        # every tail of up to 6 letters, at most 1296 words a level, its
+        # front closed, against the predicate in itertools.product's order
+        for spec, m in MASK_POINTS:
+            s = spec.alphabet_size(m)
+            rule = words._end_rule(spec, s, 2)
+            top = max(l for l in range(1, 7) if s**l <= 1296)
+            for l, tails in enumerate(words._levels(spec, s, top, True, rule), 1):
+                closed = words._closed(spec, tails, rule).ravel().tolist()
+                every = itertools.product(range(s), repeat=l)
+                assert closed == [is_valid(spec, m, w) for w in every], (spec, m, l)
+
+    @pytest.mark.parametrize(
+        "point", [p for p in MASK_POINTS if p[0].case_id in (1, 3, 4)], ids=point_id
+    )
+    def test_pair_table_matches_rule(self, point):
+        # y may follow x exactly where the pair stands in some valid word,
+        # with a letter or none on each side; families 1 and 3 rule nothing
+        # at the ends, so there the table is the rule on the pair itself
+        spec, m = point
         s = spec.alphabet_size(m)
-        length = data.draw(st.integers(min_value=0, max_value=40))
-        word = st.lists(
-            st.integers(min_value=0, max_value=s - 1),
-            min_size=length,
-            max_size=length,
-        )
-        rows = data.draw(st.lists(word, min_size=1, max_size=20))
-        assert _mask_of(spec, m, rows) == [is_valid(spec, m, w) for w in rows]
+        allow = words._end_rule(spec, s, 2).tolist()
+        sides = [()] + [(letter,) for letter in range(s)]
+        for x, y in itertools.product(range(s), repeat=2):
+            inside = any(
+                words._rule(spec, p + (x, y) + q)
+                for p, q in itertools.product(sides, repeat=2)
+            )
+            assert allow[x][y] == inside, (x, y)
+            if spec.case_id != 4:
+                assert allow[x][y] == words._rule(spec, (x, y)), (x, y)
+
+    @pytest.mark.parametrize(
+        "point", [p for p in MASK_POINTS if p[0].case_id in (2, 5)], ids=point_id
+    )
+    def test_divisor_rule_matches_predicate(self, point):
+        # a run of r copies of any letter, r up to 300, closes exactly when
+        # the predicate accepts it
+        spec, m = point
+        s = spec.alphabet_size(m)
+        rule = words._end_rule(spec, s, 300)
+        for letter in range(s):
+            side = _runs_of(spec, m, letter, 300, np.min_scalar_type(300))
+            closed = words._run_closed(side, rule)[letter].tolist()
+            assert closed == [
+                is_valid(spec, m, [letter] * r) for r in range(1, 301)
+            ], letter
 
     @pytest.mark.parametrize(
         "spec, letter, run",
@@ -333,45 +375,56 @@ class TestRunLengthMask:
         ],
     )
     def test_long_runs(self, spec, letter, run):
-        # runs about 256 letters long, where an 8-bit counter would wrap
+        # runs of 1 to about 256 letters in the counters' type for words of
+        # that many letters, where an 8-bit counter would wrap
         period = 3 if letter == 1 else 2
         unrestricted = spec.alphabet_size(1) - 1
+        side = _runs_of(spec, 1, letter, run, np.min_scalar_type(run))
+        rule = words._end_rule(spec, spec.alphabet_size(1), run)
+        closed = words._run_closed(side, rule)[letter].tolist()
+        assert closed == [r % period == 0 for r in range(1, run + 1)]
         for word in ([letter] * run, [letter] * run + [unrestricted]):
-            assert _mask_of(spec, 1, [word]) == [run % period == 0]
             assert is_valid(spec, 1, word) == (run % period == 0)
 
 
 def _join_of(spec, m, heads, tails):
-    # every head row joined with every tail row as _histograms joins them,
-    # each side grown on its own; a head the join skips completes no word
-    sides = _side_of(spec, m, heads, False), _side_of(spec, m, tails, True)
-    masks = dict(words._joins(spec, *sides))
-    return [
-        masks[i].tolist() if i in masks else [False] * len(tails)
-        for i in range(len(heads))
-    ]
+    # every head joined with every tail as _histograms joins them: each side
+    # grown as a whole level, and the heads joined one at a time, each the
+    # one valid head of its level and counted with no marks
+    s = spec.alphabet_size(m)
+    head_level, rule = _level_of(spec, m, len(heads[0]), False)
+    tail_level, _ = _level_of(spec, m, len(tails[0]), True)
+    no_marks = np.zeros(head_level.ok.size, dtype=np.uint8)
+    rows = []
+    for head in heads:
+        i = _index(head[::-1], s)
+        ok = np.zeros_like(head_level.ok)
+        ok.flat[i] = head_level.ok.flat[i]
+        alone = (words._Side(ok, head_level.run), no_marks)
+        [(_, acc)] = words._joins([alone], tail_level, rule, 1)
+        counts = acc[0].ravel()
+        rows.append([int(counts[_index(tail, s)]) for tail in tails])
+    return rows
 
 
 def _each_joined(spec, m, heads, tails):
-    return [[is_valid(spec, m, h + t) for t in tails] for h in heads]
+    return [[int(is_valid(spec, m, h + t)) for t in tails] for h in heads]
 
 
 class TestHeadTailJoin:
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_predicate(self, data):
-        # heads and tails of 1 to 40 letters: a join has a letter on each
-        # side of its boundary
-        spec, m = data.draw(st.sampled_from(MASK_POINTS))
-        letter = st.integers(min_value=0, max_value=spec.alphabet_size(m) - 1)
-
-        def rows():
-            length = data.draw(st.integers(min_value=1, max_value=40))
-            word = st.lists(letter, min_size=length, max_size=length)
-            return data.draw(st.lists(word, min_size=1, max_size=10))
-
-        heads, tails = rows(), rows()
-        assert _join_of(spec, m, heads, tails) == _each_joined(spec, m, heads, tails)
+    def test_matches_predicate(self):
+        # every head of 1 to 3 letters joined with every tail of 1 to 3,
+        # at most 1296 words: a join has a letter on each side of its
+        # boundary
+        for spec, m in MASK_POINTS:
+            s = spec.alphabet_size(m)
+            for h, t in itertools.product(range(1, 4), repeat=2):
+                if s ** (h + t) <= 1296:
+                    heads = [w[::-1] for w in itertools.product(range(s), repeat=h)]
+                    tails = list(itertools.product(range(s), repeat=t))
+                    assert _join_of(spec, m, heads, tails) == _each_joined(
+                        spec, m, heads, tails
+                    ), (spec, m, h, t)
 
     @pytest.mark.parametrize("point", MASK_POINTS, ids=point_id)
     def test_runs_across_the_boundary(self, point):
@@ -380,17 +433,16 @@ class TestHeadTailJoin:
         # the boundary; of another, a run ends on each side of it
         spec, m = point
         s = spec.alphabet_size(m)
+        heads, tails = [], []
         for x in range(s):
             y = (x + 1) % s
-            heads = [[y] * (7 - i) + [x] * i for i in range(1, 8)]
-            tails = [
-                [first] * j + [second] * (7 - j)
+            heads += [(y,) * (7 - i) + (x,) * i for i in range(1, 8)]
+            tails += [
+                (first,) * j + (second,) * (7 - j)
                 for first, second in ((x, y), (y, x))
                 for j in range(1, 8)
             ]
-            assert _join_of(spec, m, heads, tails) == _each_joined(
-                spec, m, heads, tails
-            ), x
+        assert _join_of(spec, m, heads, tails) == _each_joined(spec, m, heads, tails)
 
     @pytest.mark.parametrize(
         "spec, letter, run",
@@ -405,30 +457,45 @@ class TestHeadTailJoin:
     )
     def test_long_run_across_the_boundary(self, spec, letter, run):
         # 200 letters of the run end the head and the rest start the tail:
-        # an 8-bit run length would wrap
+        # each side alone in its block, with the ok bit and run that its
+        # level gives it, each run in an 8-bit counter; the run across the
+        # boundary would wrap one
         period = 3 if letter == 1 else 2
-        unrestricted = spec.alphabet_size(1) - 1
-        heads = [[letter] * 200]
+        s = spec.alphabet_size(1)
+        rule = words._end_rule(spec, s, 2)
         rest = run - 200
+        head, tail = _runs_of(spec, 1, letter, 200, np.uint8), _runs_of(
+            spec, 1, letter, rest, np.uint8
+        )
+        head.ok[:] = False
+        head.ok[letter, -1] = True
+        tail.ok[:] = False
+        tail.ok[letter, -1] = True
+        heads = [(head, np.zeros(head.ok.size, dtype=np.uint8))]
+        [(_, acc)] = words._joins(heads, tail, rule, 1)
+        assert acc.sum() == acc[0, letter, -1] == (run % period == 0)
+        unrestricted = s - 1
         for tails in ([[letter] * rest], [[letter] * rest + [unrestricted]]):
-            assert _join_of(spec, 1, heads, tails) == [[run % period == 0]]
-            assert _each_joined(spec, 1, heads, tails) == [[run % period == 0]]
+            assert _each_joined(spec, 1, [[letter] * 200], tails) == [
+                [run % period == 0]
+            ]
 
     def test_each_level_grown_once(self, monkeypatch):
-        # 16-word levels: tails of 2 of the 3 letters, then heads of up to 6
+        # 16-word levels: tails of 2 of the 3 letters, then heads of up to
+        # 6; the first level of each is its letters alone, grown from none
         monkeypatch.setattr(words, "_CHUNK_ROWS", 16)
         grown = {True: [], False: []}
         grow = words._grow
 
-        def counted(spec, side, letters, front):
-            level = grow(spec, side, letters, front)
+        def counted(side, rule, front):
+            level = grow(side, rule, front)
             grown[front].append(level.ok.size)
             return level
 
         monkeypatch.setattr(words, "_grow", counted)
         spec, m = CaseSpec(4), 1
         assert marked_histograms(spec, m, 8) == automaton_histograms(spec, m, 8)
-        assert grown == {True: [3, 9], False: [3, 9, 27, 81, 243, 729]}
+        assert grown == {True: [9], False: [9, 27, 81, 243, 729]}
 
 
 # block sizes of 1, 4 and 16 rows, so that heads run from one letter to
@@ -453,6 +520,19 @@ class TestEnumerationBlocks:
             assert marked_histogram(spec, m, length) == _reference_histogram(
                 spec, m, length
             ), (spec, m, length)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CaseSpec(1, a=1000), CaseSpec(2, a=700), CaseSpec(3, a=1400, b=3)],
+        ids=spec_id,
+    )
+    def test_large_alphabets_at_length_two(self, spec):
+        # 10**6 to 2 * 10**6 words, one head of one letter per letter: the
+        # pair table or the divisors are formed once, not per head
+        start = time.perf_counter()
+        count = count_exhaustive(spec, 0, 2)
+        assert time.perf_counter() - start < 2
+        assert count == count_automaton(spec, 0, 2)
 
     def test_alphabet_larger_than_a_block(self):
         # 1,248,579 letters: the block holds one letter column of them all,
@@ -599,41 +679,57 @@ class TestLevels:
     @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
     def test_lexicographic_order(self, spec, m):
         # every tail of l letters in itertools.product's order, which _fold
-        # relies on, with the features at its open front and its validity
+        # relies on, row y holding those whose first letter is y: its marks,
+        # the run at its open front and its validity
         s = spec.alphabet_size(m)
-        for l, (level, marks) in enumerate(words._levels(spec, m, 4, True)):
+        rule = words._end_rule(spec, s, 4)
+        levels = zip(words._levels(spec, s, 4, True, rule), words._marks(s, 4))
+        for l, (level, marks) in enumerate(levels, 1):
             every = list(itertools.product(range(s), repeat=l))
+            assert level.ok.shape == (s, s ** (l - 1))
             assert marks.tolist() == [w.count(s - 1) for w in every]
-            assert words._closed(spec, level).tolist() == [
+            assert words._closed(spec, level, rule).ravel().tolist() == [
                 is_valid(spec, m, w) for w in every
             ]
-            if l == 0:
-                assert level.end is None
-                continue
-            assert level.end.tolist() == [w[0] for w in every]
             if spec.case_id == 2:
-                assert level.run.tolist() == [_runs(w)[0] for w in every]
+                assert level.run.ravel().tolist() == [_runs(w)[0] for w in every]
+            else:
+                assert level.run is None
 
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("spec", [CaseSpec(1, a=1), CaseSpec(2, a=1)], ids=spec_id)
     def test_heads_open_at_the_back(self, spec, m):
         # every head of l letters, each letter put after every shorter head,
-        # with the features at its open back; its validity leaves out the
-        # last run, which a join may go on
+        # row y holding those whose last letter is y: its marks and the run
+        # at its open back; its validity leaves out the last run, which a
+        # join may go on
         s = spec.alphabet_size(m)
-        for l, (level, marks) in enumerate(words._levels(spec, m, 4, False)):
+        rule = words._end_rule(spec, s, 4)
+        levels = zip(words._levels(spec, s, 4, False, rule), words._marks(s, 4))
+        for l, (level, marks) in enumerate(levels, 1):
             every = [w[::-1] for w in itertools.product(range(s), repeat=l)]
+            assert level.ok.shape == (s, s ** (l - 1))
             assert marks.tolist() == [w.count(s - 1) for w in every]
             checked = [
-                w[: -_runs(w)[-1]] if w and spec.case_id == 2 else w for w in every
+                w[: -_runs(w)[-1]] if spec.case_id == 2 else w for w in every
             ]
-            assert level.ok.tolist() == [is_valid(spec, m, w) for w in checked]
-            if l == 0:
-                assert level.end is None
-                continue
-            assert level.end.tolist() == [w[-1] for w in every]
+            assert level.ok.ravel().tolist() == [
+                is_valid(spec, m, w) for w in checked
+            ]
             if spec.case_id == 2:
-                assert level.run.tolist() == [_runs(w)[-1] for w in every]
+                assert level.run.ravel().tolist() == [_runs(w)[-1] for w in every]
+            else:
+                assert level.run is None
+
+    def test_run_counters_hold_top(self):
+        # the one letter of family 2 at a = 1, m = 0 in a run of every length
+        # up to 258: the counters' type holds the top level's run
+        spec = CaseSpec(2, a=1)
+        rule = words._end_rule(spec, 1, 258)
+        for l, level in enumerate(words._levels(spec, 1, 258, True, rule), 1):
+            assert level.run.tolist() == [[l]]
+            assert level.ok.tolist() == [[True]]
+            assert words._closed(spec, level, rule).tolist() == [[l % 2 == 0]]
 
 
 class TestIterWords:
