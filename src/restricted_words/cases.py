@@ -23,29 +23,39 @@ and seeds (``_recurrence``); ``fm_sequence`` iterates it at any m, and
 ``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 keep their
 closed-form f_0).  The closed forms cover every family at every level:
 c_m(n,k), m >= 1, lifts one closed-form c_1 row through the single
-``_lift`` sum (family 2's c_2 has a closed form of its own), and f_m(n),
-m >= 0, weights that row by m^(i-1), the lift summed over k.
+``_lifted_row`` sum (family 2's c_2 has a closed form of its own), and
+f_m(n), m >= 0, weights that row by m^(i-1), the lift summed over k.
 
-Each closed form is evaluated one row per (parameters, n): ``_c1_row``
-keyed by (family, a, b, n), ``_c2_row`` by (a, n) and ``_repunit_row``
-by (b, n) are cached, and each computes every cell k of its row as that
-cell's own closed-form sum.  The subterms are computed once and shared
-across the cells: the powers of a, a-1 and b, family 3's Lucas values,
-the binomials C(x, y) for x <= n (cached per x across all rows), and for
+Each closed form is evaluated one row per (parameters, m, n):
+``_c1_row`` keyed by (family, a, b, n), ``_c2_row`` by (a, n),
+``_repunit_row`` by (b, n) and ``_lifted_row`` by (family, a, b, m, n)
+are cached, and each computes every cell k of its row as that cell's own
+closed-form sum.  The subterms are computed once and shared across the
+cells: the powers of a, a-1 and b, family 3's Lucas values, the
+binomials C(x, y) for x <= n (cached per x across all rows), and for
 families 4 and 5 the inner j-sum of the double sum, which depends only
-on i and d = n-k and is cached per d across rows.  No row is derived
-from another row, a triangle or a recurrence: the repunit row does not
-read the family-3 row and the c_2 row is no lift, so every closed form
-stays a route of its own.  ``c1_explicit``, ``c2_explicit_case2`` and
-``c1_case3_repunit`` check their arguments and read one cell of the row.
+on i and d = n-k and is cached per d across rows.  The lifted row sums
+the cached c_1 row; no row is derived from a triangle or a recurrence:
+the repunit row does not read the family-3 row and the c_2 row is no
+lift, so every closed form stays a route of its own.
 
-The five ``lru_cache``s are unbounded, and each grows by one row per
+Each closed form has a cell function and a table function.  The cell
+function (``c1_explicit``, ``c1_case3_repunit``, ``c2_explicit_case2``,
+``cm_explicit_case1``, ``cm_explicit_case1_alt`` and
+``triangle_formula_value``) checks its arguments and reads one cell of
+its row.  The table function (the same name with ``_table``; for the
+last, ``triangle_formula_table``) checks its arguments once and returns
+rows 1..N, the row tuples themselves.  The m-power variant adds its
+leading-term difference to the lifted row, uncached.
+
+The six ``lru_cache``s are unbounded, and each grows by one row per
 distinct key:
 
 - ``_binomials`` is keyed by x and holds C(x, 0..x), x+1 ints;
 - ``_inner_j_sums`` is keyed by (family 4 or 5, d) and holds d//2 ints;
-- ``_c1_row``, ``_repunit_row`` and ``_c2_row`` are keyed by their
-  parameters and n, and hold n ints.
+- ``_c1_row``, ``_repunit_row``, ``_c2_row`` and ``_lifted_row`` are
+  keyed by their parameters and n, and hold n ints (at m = 1,
+  ``_lifted_row`` holds the c_1 row itself).
 
 The caches have no bound because rows up to N cost O(N^2) ints, the
 size of one N-row triangle, which is what a call up to N computes
@@ -67,7 +77,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .sequences import Sequence, _as_param, binom
+from .sequences import Sequence, _as_param
 
 CASE_IDS = (1, 2, 3, 4, 5)
 
@@ -203,6 +213,11 @@ def _check_cell(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @lru_cache(maxsize=None)
 def _binomials(x: int) -> tuple[int, ...]:
     """C(x, 0), ..., C(x, x)."""
@@ -291,6 +306,13 @@ def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
     return _c1_row(spec.case_id, spec.a, spec.b, n)[k - 1]
 
 
+def c1_explicit_table(spec: CaseSpec, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`c1_explicit`, row n the cells k = 1..n."""
+    N = _as_param("N", N)
+    _check_positive("N", N)
+    return tuple(_c1_row(spec.case_id, spec.a, spec.b, n) for n in range(1, N + 1))
+
+
 @lru_cache(maxsize=None)
 def _repunit_row(b: int, n: int) -> tuple[int, ...]:
     # sum_{i=0}^{n-k} b^(n-k-i) C(n-i-1,k-1) C(k+i-1,k-1)
@@ -309,10 +331,17 @@ def c1_case3_repunit(b: int, n: int, k: int) -> int:
     """Family-3 closed form specialized to a = b+1, where the roots are
     1 and 1/b and the Lucas-sequence sum collapses to plain powers of b."""
     b, n, k = _as_param("b", b), _as_param("n", n), _as_param("k", k)
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _check_positive("b", b)
     _check_cell(n, k)
     return _repunit_row(b, n)[k - 1]
+
+
+def c1_case3_repunit_table(b: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`c1_case3_repunit`, row n the cells k = 1..n."""
+    b, N = _as_param("b", b), _as_param("N", N)
+    _check_positive("b", b)
+    _check_positive("N", N)
+    return tuple(_repunit_row(b, n) for n in range(1, N + 1))
 
 
 @lru_cache(maxsize=None)
@@ -335,26 +364,50 @@ def c2_explicit_case2(a: int, n: int, k: int) -> int:
     """Closed form for the family-2 level-2 triangle c_2(n,k); n is the
     row index, dispatched by parity."""
     a, n, k = _as_param("a", a), _as_param("n", n), _as_param("k", k)
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_positive("a", a)
     _check_cell(n, k)
     return _c2_row(a, n)[k - 1]
 
 
-def _lift(cells: tuple[int, ...], m: int, k: int) -> int:
-    # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i), with
-    # cells = c_1(n,k), c_1(n,k+1), ..., c_1(n,n); at m = 1 every term
-    # but i = k has the factor 0^(i-k) = 0, so the lift is c_1(n,k).  The
-    # weight (m-1)^d C(k-1+d, d) steps from d to d + 1 by (m-1)(k+d)/(d+1),
-    # exactly, since C(k-1+d, d) (k+d) = C(k+d, d+1) (d+1)
+def c2_explicit_case2_table(a: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`c2_explicit_case2`, row n the cells k = 1..n."""
+    a, N = _as_param("a", a), _as_param("N", N)
+    _check_positive("a", a)
+    _check_positive("N", N)
+    return tuple(_c2_row(a, n) for n in range(1, N + 1))
+
+
+@lru_cache(maxsize=None)
+def _lifted_row(
+    case_id: int, a: int | None, b: int | None, m: int, n: int
+) -> tuple[int, ...]:
+    # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i) for k = 1..n;
+    # at m = 1 every term but i = k has the factor 0^(i-k) = 0, so the lift
+    # is the c_1 row itself.  The weight (m-1)^d C(k-1+d, d) steps from d
+    # to d + 1 by (m-1)(k+d)/(d+1), exactly, since
+    # C(k-1+d, d) (k+d) = C(k+d, d+1) (d+1)
+    row = _c1_row(case_id, a, b, n)
     if m == 1:
-        return cells[0]
-    total = 0
-    weight = 1
-    for d, cell in enumerate(cells):
-        total += weight * cell
-        weight = weight * (m - 1) * (k + d) // (d + 1)
-    return total
+        return row
+    lifted = []
+    for k in range(1, n + 1):
+        total = 0
+        weight = 1
+        for d in range(n - k + 1):
+            total += weight * row[k - 1 + d]
+            weight = weight * (m - 1) * (k + d) // (d + 1)
+        lifted.append(total)
+    return tuple(lifted)
+
+
+def _variant_row(a: int, m: int, n: int) -> tuple[int, ...]:
+    # the family-1 lifted row with each leading term (m-1)^(n-k) C(n-1,k-1)
+    # replaced by m^(n-k) C(n-1,k-1)
+    C = _binomials(n - 1)
+    return tuple(
+        cell + (m ** (n - k) - (m - 1) ** (n - k)) * C[k - 1]
+        for k, cell in enumerate(_lifted_row(1, a, None, m, n), start=1)
+    )
 
 
 def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
@@ -366,12 +419,19 @@ def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
     """
     a, m = _as_param("a", a), _as_param("m", m)
     n, k = _as_param("n", n), _as_param("k", k)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_positive("m", m)
+    _check_positive("a", a)
     _check_cell(n, k)
-    return _lift(_c1_row(1, a, None, n)[k - 1 :], m, k)
+    return _lifted_row(1, a, None, m, n)[k - 1]
+
+
+def cm_explicit_case1_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`cm_explicit_case1`, row n the cells k = 1..n."""
+    a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
+    _check_positive("m", m)
+    _check_positive("a", a)
+    _check_positive("N", N)
+    return tuple(_lifted_row(1, a, None, m, n) for n in range(1, N + 1))
 
 
 def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
@@ -382,9 +442,21 @@ def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
     """
-    m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
-    corrected = cm_explicit_case1(a, m, n, k)
-    return corrected + (m ** (n - k) - (m - 1) ** (n - k)) * binom(n - 1, k - 1)
+    a, m = _as_param("a", a), _as_param("m", m)
+    n, k = _as_param("n", n), _as_param("k", k)
+    _check_positive("m", m)
+    _check_positive("a", a)
+    _check_cell(n, k)
+    return _variant_row(a, m, n)[k - 1]
+
+
+def cm_explicit_case1_alt_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`cm_explicit_case1_alt`, row n the cells k = 1..n."""
+    a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
+    _check_positive("m", m)
+    _check_positive("a", a)
+    _check_positive("N", N)
+    return tuple(_variant_row(a, m, n) for n in range(1, N + 1))
 
 
 def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
@@ -413,6 +485,14 @@ def triangle_formula_available(spec: CaseSpec, m: int) -> bool:
     return _as_param("m", m) >= 1
 
 
+def _formula_row(spec: CaseSpec, m: int, n: int) -> tuple[int, ...]:
+    # family 2 at m = 2 reads the paper's own c_2; every other point lifts
+    # the c_1 row
+    if spec.case_id == 2 and m == 2:
+        return _c2_row(spec.a, n)
+    return _lifted_row(spec.case_id, spec.a, spec.b, m, n)
+
+
 def triangle_formula_value(spec: CaseSpec, m: int, n: int, k: int) -> int:
     """Level-m triangle entry c_m(n,k), m >= 1, from the closed forms.
 
@@ -421,9 +501,17 @@ def triangle_formula_value(spec: CaseSpec, m: int, n: int, k: int) -> int:
     row to level m, as :func:`cm_explicit_case1` does for family 1.
     """
     m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_positive("m", m)
     _check_cell(n, k)
-    if spec.case_id == 2 and m == 2:
-        return _c2_row(spec.a, n)[k - 1]
-    return _lift(_c1_row(spec.case_id, spec.a, spec.b, n)[k - 1 :], m, k)
+    return _formula_row(spec, m, n)[k - 1]
+
+
+def triangle_formula_table(
+    spec: CaseSpec, m: int, N: int
+) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of :func:`triangle_formula_value`, row n the cells
+    k = 1..n."""
+    m, N = _as_param("m", m), _as_param("N", N)
+    _check_positive("m", m)
+    _check_positive("N", N)
+    return tuple(_formula_row(spec, m, n) for n in range(1, N + 1))

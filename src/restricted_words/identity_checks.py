@@ -17,9 +17,9 @@ from typing import Callable, Iterator, NamedTuple
 
 from .cases import (
     CaseSpec,
-    c1_case3_repunit,
-    c1_explicit,
-    c2_explicit_case2,
+    c1_case3_repunit_table,
+    c1_explicit_table,
+    c2_explicit_case2_table,
     f0_value,
     fm_explicit,
 )
@@ -92,10 +92,10 @@ def _index_split(a: int, parity: int, classic_fn) -> Callable[[int], Iterator[Ch
 def _pell_split(parity: int) -> Callable[[int], Iterator[Checkpoint]]:
     # P(N) as the row sum of the family-2 (a = 1) level-2 triangle, N = 2n-p
     def run(max_n: int) -> Iterator[Checkpoint]:
+        rows = c2_explicit_case2_table(1, 2 * max_n - parity)
         for n in range(1, max_n + 1):
             N = 2 * n - parity
-            rhs = sum(c2_explicit_case2(1, N, k) for k in range(1, N + 1))
-            yield {"n": n}, pell(N), rhs
+            yield {"n": n}, pell(N), sum(rows[N - 1])
 
     return run
 
@@ -104,14 +104,17 @@ def _case3_product(max_n: int) -> Iterator[Checkpoint]:
     # sum over compositions of n into k parts of prod (b^i - 1), against
     # (b-1)^k times the family-3 closed form at a = b+1; row n of a
     # triangle reads only the weights up to n, so one per b serves every n
-    triangles = {
-        b: composition_triangle(Sequence(b**i - 1 for i in range(1, max_n + 1)))
+    tables = {
+        b: (
+            composition_triangle(Sequence(b**i - 1 for i in range(1, max_n + 1))),
+            c1_case3_repunit_table(b, max_n),
+        )
         for b in (2, 3)
     }
     for n in range(1, max_n + 1):
-        for b, triangle in triangles.items():
+        for b, (triangle, closed) in tables.items():
             for k in range(1, n + 1):
-                rhs = (b - 1) ** k * c1_case3_repunit(b, n, k)
+                rhs = (b - 1) ** k * closed[n - 1][k - 1]
                 yield {"n": n, "b": b, "k": k}, triangle.at(n, k), rhs
 
 
@@ -125,10 +128,9 @@ def _euler_type(max_n: int) -> Iterator[Checkpoint]:
 
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
     # the family-4 row sum f_1(n) = 2^(n-2), less its diagonal c_1(n,n) = 1
-    spec = CaseSpec(4)
+    rows = c1_explicit_table(CaseSpec(4), max_n)
     for n in range(3, max_n + 1):
-        rhs = sum(c1_explicit(spec, n, k) for k in range(1, n))
-        yield {"n": n}, mersenne(n - 2), rhs
+        yield {"n": n}, mersenne(n - 2), sum(rows[n - 1][:-1])
 
 
 def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
@@ -139,10 +141,9 @@ def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
 
 
 def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
-    spec = CaseSpec(5)
+    rows = c1_explicit_table(CaseSpec(5), max_n)
     for n in range(1, max_n + 1):
-        rhs = sum(c1_explicit(spec, n, k) for k in range(1, n + 1))
-        yield {"n": n}, tribonacci(n), rhs
+        yield {"n": n}, tribonacci(n), sum(rows[n - 1])
 
 
 def _padovan_compositions(max_n: int) -> Iterator[Checkpoint]:

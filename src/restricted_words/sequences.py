@@ -251,12 +251,17 @@ def lift_triangle(c1: Triangle, m: int) -> Triangle:
     if m == 1:
         return c1
     size = c1.size
-    powers = [(m - 1) ** d for d in range(size)]
-    # weights[k-1][i-k] = (m-1)^(i-k) * C(i-1, k-1) for k <= i <= size
-    weights = [
-        [p * binom(k - 1 + d, k - 1) for d, p in enumerate(powers[: size - k + 1])]
-        for k in range(1, size + 1)
-    ]
+    # weights[k-1][d] = W(k, d) = (m-1)^d * C(k-1+d, d) for 0 <= d <= size-k,
+    # by Pascal's rule W(k, d) = W(k-1, d) + (m-1) W(k, d-1), with W(k, 0) = 1
+    # and W(0, d) = 0 for d >= 1
+    weights = []
+    prev = [0] * size
+    for k in range(1, size + 1):
+        row = [1]
+        for d in range(1, size - k + 1):
+            row.append(prev[d] + (m - 1) * row[-1])
+        weights.append(row)
+        prev = row
     return Triangle(
         [
             sum(map(operator.mul, weights[k - 1], row[k - 1 :]))

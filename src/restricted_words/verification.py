@@ -7,7 +7,9 @@ routes at every m >= 1, the closed forms ``explicit`` and ``formula``
 included.  The CLI's ``--source`` and :func:`cross_check` both reach
 them through :func:`sequence_values` and :func:`triangle_rows`;
 :func:`cross_check` gets ``eq3`` by lifting the level-1 ``convolution``
-triangle, f_0's own.
+triangle, f_0's own.  The closed forms are read a whole table at a
+time (``cases.c1_explicit_table``, ``cases.triangle_formula_table`` and
+the other ``_table`` functions), each checking its arguments once.
 
 For one family and extension level this harness compares, cell by cell
 and entry by entry: exhaustive counts, automaton counts, recurrence
@@ -23,17 +25,17 @@ first witness, so the count and the witness are those of a cell walk.
 The harness also adjudicates the two candidate leading terms of the
 family-1 expanded c_m formula: the implemented (m-1)-power form agrees
 with the triangle lift everywhere, while the m-power variant already
-fails at (a, m, n, k) = (1, 2, 2, 1).
+fails at (a, m, n, k) = (1, 2, 2, 1).  Both tables are compared with
+the ``eq3`` c_1 of each a, built once and lifted to m = 1, 2 and 3.
 
 Routes and formulas call through module attributes
-(``cases.c1_explicit``, ``words.automaton_counts`` and friends) at call
-time, so a test can substitute a corrupted one and watch the harness
-catch it.
+(``cases.c1_explicit_table``, ``words.automaton_counts`` and friends) at
+call time, so a test can substitute a corrupted one and watch the
+harness catch it.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from . import cases, words
@@ -47,11 +49,6 @@ from .sequences import (
     row_sums,
 )
 from .words import DEFAULT_BUDGET
-
-
-def _cells(cell, N: int) -> list[list[int]]:
-    """The table of ``cell(n, k)``, 1 <= k <= n <= N."""
-    return [[cell(n, k) for k in range(1, n + 1)] for n in range(1, N + 1)]
 
 
 # name -> (spec, m, N) -> f_m(1..N); every route gives the same integers
@@ -68,9 +65,7 @@ TRIANGLE_ROUTES = {
     "convolution": lambda spec, m, N: composition_triangle(
         invert_power(cases.f0_prefix(spec, N), m - 1)
     ),
-    "formula": lambda spec, m, N: Triangle(
-        _cells(partial(cases.triangle_formula_value, spec, m), N)
-    ),
+    "formula": lambda spec, m, N: Triangle(cases.triangle_formula_table(spec, m, N)),
     "eq3": lambda spec, m, N: lift_triangle(
         composition_triangle(cases.f0_prefix(spec, N)), m
     ),
@@ -238,10 +233,10 @@ def cross_check(
             ("marked-exhaustive-vs-triangle", "len,marks", hists, cm.rows),
             ("marked-automaton-vs-triangle", "len,marks", marked_rows, cm.rows),
         ]
-    explicit_c1 = _cells(partial(cases.c1_explicit, spec), triangle_n)
+    explicit_c1 = cases.c1_explicit_table(spec, triangle_n)
     rows.append(("explicit-c1-vs-convolution", "n,k", explicit_c1, c1.rows))
     if spec.case_id == 3 and spec.a == spec.b + 1:
-        repunit = _cells(partial(cases.c1_case3_repunit, spec.b), triangle_n)
+        repunit = cases.c1_case3_repunit_table(spec.b, triangle_n)
         rows.append(
             ("repunit-specialization-vs-field-form", "n,k", repunit, explicit_c1)
         )
@@ -309,25 +304,22 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
     printed = cases.cm_explicit_case1_alt(1, 2, 2, 1)
     corrected = cases.cm_explicit_case1(1, 2, 2, 1)
 
-    lifts = {
-        (a, m): triangle_rows(CaseSpec(1, a=a), m, max_n, "eq3").rows
-        for a in (1, 2, 3)
-        for m in (1, 2, 3)
-    }
+    # one eq3 c_1 per a, lifted to each m
+    c1s = {a: triangle_rows(CaseSpec(1, a=a), 1, max_n, "eq3") for a in (1, 2, 3)}
+    lifts = {(a, m): lift_triangle(c1s[a], m).rows for a in (1, 2, 3) for m in (1, 2, 3)}
 
     def against_lift(label, form):
         # the (a, m) tables in order, one count and one witness across them
         checked = 0
         for (a, m), lift in lifts.items():
-            cells = _cells(partial(form, a, m), max_n)
-            table = _compare_table(label, "n,k", cells, lift)
+            table = _compare_table(label, "n,k", form(a, m, max_n), lift)
             checked += table.checked
             if not table.ok:
                 return Comparison(label, checked, {"a": a, "m": m, **table.witness})
         return Comparison(label, checked)
 
-    agreement = against_lift("corrected-vs-lift", cases.cm_explicit_case1)
-    variant = against_lift("m-power-vs-lift", cases.cm_explicit_case1_alt)
+    agreement = against_lift("corrected-vs-lift", cases.cm_explicit_case1_table)
+    variant = against_lift("m-power-vs-lift", cases.cm_explicit_case1_alt_table)
     return AdjudicationReport(
         witness, printed, corrected, lift_at, agreement, variant.witness
     )

@@ -248,9 +248,13 @@ class _Side(NamedTuple):
     # the open end is the most significant digit of a word's index, so row
     # y of each array holds the words whose open end is y.  ok where every
     # rule holds but those at the open end; for the run families 2 and 5,
-    # the length of the run there.
+    # the length of the run there, and ok with that run closed too, as it
+    # must be allowed (``_run_closed``): made once per level by
+    # ``_run_side``, read by the level's histogram, by the next level and by
+    # the joins.
     ok: np.ndarray
     run: np.ndarray | None
+    closed: np.ndarray | None = None
 
 
 def _end_rule(spec: CaseSpec, s: int, length: int) -> np.ndarray | None:
@@ -301,6 +305,12 @@ def _run_closed(side: _Side, div: np.ndarray) -> np.ndarray:
     return closed
 
 
+def _run_side(ok: np.ndarray, run: np.ndarray, div: np.ndarray) -> _Side:
+    # a run-family level with its closed bits
+    side = _Side(ok, run)
+    return side._replace(closed=_run_closed(side, div))
+
+
 def _grow(side: _Side, rule: np.ndarray, front: bool) -> _Side:
     # every letter z added at the open end of every word, the front of a
     # tail or the back of a head: row z of the result holds s blocks, block
@@ -315,12 +325,12 @@ def _grow(side: _Side, rule: np.ndarray, front: bool) -> _Side:
     # z unlike y closes the run of y, which must be allowed; z = y carries
     # the run on
     grown = np.empty((s,) + side.ok.shape, dtype=bool)
-    grown[...] = _run_closed(side, rule)
+    grown[...] = side.closed
     run = np.ones(grown.shape, dtype=side.run.dtype)
     diagonal = np.arange(s)
     grown[diagonal, diagonal] = side.ok
     run[diagonal, diagonal] = side.run + 1
-    return _Side(grown.reshape(s, -1), run.reshape(s, -1))
+    return _run_side(grown.reshape(s, -1), run.reshape(s, -1), rule)
 
 
 def _levels(
@@ -336,10 +346,10 @@ def _levels(
     ok = np.ones((s, 1), dtype=bool)
     if spec.case_id == 4:
         ok[1 if front else 0] = False
-    run = None
     if spec.case_id in (2, 5):
-        run = np.ones((s, 1), dtype=np.min_scalar_type(top))
-    level = _Side(ok, run)
+        level = _run_side(ok, np.ones((s, 1), dtype=np.min_scalar_type(top)), rule)
+    else:
+        level = _Side(ok, None)
     for l in range(top):
         if l:
             level = _grow(level, rule, front)
@@ -363,7 +373,7 @@ def _closed(spec: CaseSpec, tails: _Side, rule: np.ndarray | None) -> np.ndarray
     # the validity of the tails' words with their front closed too: the run
     # there must be allowed, and family 4 starts no word on a 0
     if tails.run is not None:
-        return _run_closed(tails, rule)
+        return tails.closed
     if spec.case_id == 4:
         ok = tails.ok.copy()
         ok[0] = False
@@ -409,7 +419,7 @@ def _joins(
         # divides r: every tail then joins with its own front run closed.
         # Otherwise only block x joins, as one run of r + q letters with the
         # tail's first q, which d divides exactly when it divides r mod d + q
-        closed = _run_closed(tails, rule).view(np.uint8)
+        closed = tails.closed.view(np.uint8)
         rest = _residue(tails.run, rule)
         bits = [closed] + [
             (tails.ok[: len(rule)] & (_residue(rest + r, rule) == 0)).view(np.uint8)

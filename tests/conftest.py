@@ -54,3 +54,11 @@ def assert_integer_arguments(func, args: tuple, names: str) -> None:
             else:
                 got = func(*call)
                 assert got == expect and type(got) is type(expect), name
+
+
+def bump_cell(rows, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The table ``rows`` (row n the cells k = 1..n) with cell (n, k) one
+    larger, every other cell as it was."""
+    rows = tuple(map(tuple, rows))
+    row = rows[n - 1]
+    return rows[: n - 1] + (row[: k - 1] + (row[k - 1] + 1,) + row[k:],) + rows[n:]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     GRID_POINTS,
     GRID_SPECS,
@@ -19,15 +21,21 @@ from restricted_words import cases
 from restricted_words.cases import (
     CaseSpec,
     c1_case3_repunit,
+    c1_case3_repunit_table,
     c1_explicit,
+    c1_explicit_table,
     c2_explicit_case2,
+    c2_explicit_case2_table,
     cm_explicit_case1,
     cm_explicit_case1_alt,
+    cm_explicit_case1_alt_table,
+    cm_explicit_case1_table,
     f0_prefix,
     f0_value,
     fm_explicit,
     fm_sequence,
     triangle_formula_available,
+    triangle_formula_table,
     triangle_formula_value,
 )
 from restricted_words.sequences import (
@@ -53,6 +61,12 @@ INTEGER_ARGUMENT_CALLS = [
     (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
     (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
     (triangle_formula_value, (CaseSpec(2, a=2), 2, 7, 3), "m n k"),
+    (c1_explicit_table, (CaseSpec(3, a=3, b=1), 6), "N"),
+    (c1_case3_repunit_table, (2, 6), "b N"),
+    (c2_explicit_case2_table, (2, 7), "a N"),
+    (cm_explicit_case1_table, (2, 3, 8), "a m N"),
+    (cm_explicit_case1_alt_table, (2, 3, 8), "a m N"),
+    (triangle_formula_table, (CaseSpec(2, a=2), 2, 7), "m N"),
 ]
 
 
@@ -306,6 +320,8 @@ class TestRowCallOrder:
         "c1-case5": lambda n, k: c1_explicit(CaseSpec(5), n, k),
         "c2-case2": lambda n, k: c2_explicit_case2(3, n, k),
         "repunit": lambda n, k: c1_case3_repunit(3, n, k),
+        "cm-case1": lambda n, k: cm_explicit_case1(3, 4, n, k),
+        "formula-case3": lambda n, k: triangle_formula_value(CaseSpec(3, a=5, b=2), 3, n, k),
     }
 
     @staticmethod
@@ -316,6 +332,7 @@ class TestRowCallOrder:
             cases._c1_row,
             cases._c2_row,
             cases._repunit_row,
+            cases._lifted_row,
         ):
             cached.cache_clear()
 
@@ -420,3 +437,145 @@ class TestTriangleFormulaRouting:
         for n in range(1, 11):
             for k in range(1, n + 1):
                 assert triangle_formula_value(spec, m, n, k) == t.at(n, k)
+
+
+def _tables(spec, m, N):
+    # (name, table, the same table cell by cell) for every table function
+    # that covers spec at level m >= 1
+    def cells(cell):
+        return tuple(
+            tuple(cell(n, k) for k in range(1, n + 1)) for n in range(1, N + 1)
+        )
+
+    out = [
+        (
+            "c1_explicit",
+            c1_explicit_table(spec, N),
+            cells(lambda n, k: c1_explicit(spec, n, k)),
+        ),
+        (
+            "triangle_formula",
+            triangle_formula_table(spec, m, N),
+            cells(lambda n, k: triangle_formula_value(spec, m, n, k)),
+        ),
+    ]
+    a, b = spec.a, spec.b
+    if spec.case_id == 1:
+        out += [
+            (
+                "cm_explicit_case1",
+                cm_explicit_case1_table(a, m, N),
+                cells(lambda n, k: cm_explicit_case1(a, m, n, k)),
+            ),
+            (
+                "cm_explicit_case1_alt",
+                cm_explicit_case1_alt_table(a, m, N),
+                cells(lambda n, k: cm_explicit_case1_alt(a, m, n, k)),
+            ),
+        ]
+    if spec.case_id == 2:
+        out.append(
+            (
+                "c2_explicit_case2",
+                c2_explicit_case2_table(a, N),
+                cells(lambda n, k: c2_explicit_case2(a, n, k)),
+            )
+        )
+    if spec.case_id == 3:
+        # the repunit form at this b, whatever a is
+        out.append(
+            (
+                "c1_case3_repunit",
+                c1_case3_repunit_table(b, N),
+                cells(lambda n, k: c1_case3_repunit(b, n, k)),
+            )
+        )
+    return out
+
+
+# off the default grid: families 1-2 with a <= 8, family 3 with
+# 1 <= b < a <= 8, and families 4-5
+OFF_GRID_SPECS = st.one_of(
+    st.tuples(st.sampled_from((1, 2)), st.integers(1, 8)),
+    st.integers(2, 8).flatmap(
+        lambda a: st.tuples(st.just(3), st.just(a), st.integers(1, a - 1))
+    ),
+    st.tuples(st.sampled_from((4, 5))),
+).map(lambda fields: CaseSpec(*fields))
+
+
+# the table functions, with arguments that give a table of N rows last
+TABLE_CALLS = [
+    (func, args)
+    for func, args, _ in INTEGER_ARGUMENT_CALLS
+    if func.__name__.endswith("_table")
+]
+
+
+class TestTables:
+    # each table function returns rows 1..N of its cell function, checking
+    # its arguments once, with the cell function's messages
+
+    @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
+    def test_equal_cell_by_cell_on_the_grid(self, spec):
+        for m in (1, 2, 3):
+            for name, table, cells in _tables(spec, m, 12):
+                assert table == cells, (name, m)
+                assert [len(row) for row in table] == list(range(1, 13)), name
+
+    @given(OFF_GRID_SPECS, st.integers(1, 6), st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_cell_by_cell_off_the_grid(self, spec, m, N):
+        for name, table, cells in _tables(spec, m, N):
+            assert table == cells, name
+
+    @pytest.mark.parametrize(
+        "func, args", TABLE_CALLS, ids=[func.__name__ for func, _ in TABLE_CALLS]
+    )
+    def test_refuse_fewer_than_one_row(self, func, args):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="^N must be >= 1$"):
+                func(*args[:-1], N)
+
+    def test_refuse_bad_parameters(self):
+        for m in (0, -1):
+            for call in (
+                lambda: triangle_formula_table(CaseSpec(4), m, 5),
+                lambda: cm_explicit_case1_table(2, m, 5),
+                lambda: cm_explicit_case1_alt_table(2, m, 5),
+            ):
+                with pytest.raises(ValueError, match="^m must be >= 1$"):
+                    call()
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="^b must be >= 1$"):
+                c1_case3_repunit_table(bad, 5)
+            for call in (
+                lambda: c2_explicit_case2_table(bad, 5),
+                lambda: cm_explicit_case1_table(bad, 2, 5),
+                lambda: cm_explicit_case1_alt_table(bad, 2, 5),
+            ):
+                with pytest.raises(ValueError, match="^a must be >= 1$"):
+                    call()
+
+    def test_messages_match_the_cell_functions(self):
+        # the same bad parameter gives the same message from both forms
+        pairs = [
+            (lambda: c1_case3_repunit(0, 3, 1), lambda: c1_case3_repunit_table(0, 3)),
+            (lambda: c2_explicit_case2(0, 3, 1), lambda: c2_explicit_case2_table(0, 3)),
+            (lambda: cm_explicit_case1(2, 0, 3, 1), lambda: cm_explicit_case1_table(2, 0, 3)),
+            (lambda: cm_explicit_case1(0, 2, 3, 1), lambda: cm_explicit_case1_table(0, 2, 3)),
+            (
+                lambda: cm_explicit_case1_alt(2, 0, 3, 1),
+                lambda: cm_explicit_case1_alt_table(2, 0, 3),
+            ),
+            (
+                lambda: triangle_formula_value(CaseSpec(4), 0, 3, 1),
+                lambda: triangle_formula_table(CaseSpec(4), 0, 3),
+            ),
+        ]
+        for cell, table in pairs:
+            with pytest.raises(ValueError) as by_cell:
+                cell()
+            with pytest.raises(ValueError) as by_table:
+                table()
+            assert str(by_table.value) == str(by_cell.value)

@@ -22,7 +22,7 @@ from restricted_words.sequences import composition_triangle, invert_power
 from restricted_words.verification import SEQUENCE_ROUTES, TRIANGLE_ROUTES
 from restricted_words.words import DEFAULT_BUDGET, count_automaton, is_valid
 
-from conftest import GRID_SPECS, levels_for, point_id, spec_id
+from conftest import GRID_SPECS, bump_cell, levels_for, point_id, spec_id
 
 
 def run_cli(capsys, *argv):
@@ -222,15 +222,12 @@ def test_verify_without_target_exits_2(capsys):
 
 
 def test_verify_corrupted_formula_exits_1(capsys, monkeypatch):
-    real = cases.c1_explicit
+    real = cases.c1_explicit_table
 
-    def corrupted(spec, n, k):
-        value = real(spec, n, k)
-        if (n, k) == (6, 2):
-            return value + 1
-        return value
+    def corrupted(spec, N):
+        return bump_cell(real(spec, N), 6, 2)
 
-    monkeypatch.setattr(cases, "c1_explicit", corrupted)
+    monkeypatch.setattr(cases, "c1_explicit_table", corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--case", "4", "--m", "1", "--max-len", "6",
         "--triangle-n", "8",

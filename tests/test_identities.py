@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import assert_integer_arguments
+from conftest import assert_integer_arguments, bump_cell
 
 from restricted_words import cases, identity_checks
 from restricted_words.identity_checks import (
@@ -99,10 +99,11 @@ def test_case3_product_counts_every_cell():
 
 def test_case3_product_reports_the_broken_cell(monkeypatch):
     # the closed form as the identity calls it, off by one at one cell
-    def off_at_7_3_4(b, n, k):
-        return cases.c1_case3_repunit(b, n, k) + ((b, n, k) == (3, 7, 4))
+    def off_at_7_3_4(b, N):
+        rows = cases.c1_case3_repunit_table(b, N)
+        return bump_cell(rows, 7, 4) if b == 3 else rows
 
-    monkeypatch.setattr(identity_checks, "c1_case3_repunit", off_at_7_3_4)
+    monkeypatch.setattr(identity_checks, "c1_case3_repunit_table", off_at_7_3_4)
     report = check_identity("case3-product", 12)
     assert not report.ok
     assert report.counterexample.params == {"n": 7, "b": 3, "k": 4}

@@ -290,6 +290,14 @@ class TestLiftTriangle:
         direct = composition_triangle(invert_power(f, m - 1))
         assert lifted == direct
 
+    @pytest.mark.parametrize("m", [-2, -1, 0, 2, 3, 7])
+    def test_lift_matches_triangle_of_transform_at_twelve_rows(self, m):
+        # the weights (m-1)^d C(k-1+d, d), built by Pascal's rule, at every
+        # integer m: a negative m - 1 alternates their signs
+        f = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]
+        lifted = lift_triangle(composition_triangle(f), m)
+        assert lifted == composition_triangle(invert_power(f, m - 1))
+
     @given(seqs, st.integers(min_value=1, max_value=4))
     @settings(max_examples=40)
     def test_lift_row_sums_give_mth_transform(self, f, m):

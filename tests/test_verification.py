@@ -10,6 +10,7 @@ from conftest import (
     GRID_POINTS,
     GRID_SPECS,
     assert_integer_arguments,
+    bump_cell,
     point_id,
     spec_id,
 )
@@ -212,13 +213,12 @@ def test_broken_automaton_is_caught(monkeypatch):
 
 
 def test_corrupted_formula_is_caught(monkeypatch):
-    real = cases.c1_explicit
+    real = cases.c1_explicit_table
 
-    def corrupt(spec, n, k):
-        value = real(spec, n, k)
-        return value + 1 if (n, k) == (5, 2) else value
+    def corrupt(spec, N):
+        return bump_cell(real(spec, N), 5, 2)
 
-    monkeypatch.setattr(cases, "c1_explicit", corrupt)
+    monkeypatch.setattr(cases, "c1_explicit_table", corrupt)
     report = cross_check(CaseSpec(4), 1, max_len=5, triangle_n=6)
     assert not report.ok
     bad = [c for c in report.comparisons if not c.ok]
@@ -231,7 +231,7 @@ def test_corrupted_formula_is_caught(monkeypatch):
     "name, point, label",
     [
         (
-            "c1_case3_repunit",
+            "c1_case3_repunit_table",
             (CaseSpec(3, a=3, b=2), 1),
             "repunit-specialization-vs-field-form",
         ),
@@ -242,14 +242,13 @@ def test_corrupted_closed_form_cell_is_caught(monkeypatch, name, point, label):
     # one wrong cell (n, k) = (6, 3) fails its own comparison and no other
     real = getattr(cases, name)
 
-    def corrupt(param, n, *k):
-        # a cell function gets (n, k), a row function n alone
-        value = real(param, n, *k)
-        if n != 6:
-            return value
-        if k:
-            return value + 1 if k == (3,) else value
-        return value[:2] + (value[2] + 1,) + value[3:]
+    def corrupt(param, n):
+        # a table function gets N and returns rows 1..N, a row function
+        # gets n and returns row n alone
+        if name.endswith("_table"):
+            return bump_cell(real(param, n), 6, 3)
+        row = real(param, n)
+        return row[:2] + (row[2] + 1,) + row[3:] if n == 6 else row
 
     monkeypatch.setattr(cases, name, corrupt)
     report = cross_check(*point)
@@ -310,14 +309,15 @@ def test_formula_triangle_matches_convolution_at_sixty_rows(spec):
 
 
 def test_corrupted_lift_is_caught(monkeypatch):
-    # family 3 at m = 2 reaches cases._lift only through the formula
+    # family 3 at m = 2 reaches cases._lifted_row only through the formula
     # triangle; one wrong cell (n, k) = (4, 2) fails that line alone
-    real = cases._lift
+    real = cases._lifted_row
 
-    def corrupt(cells, m, k):
-        return real(cells, m, k) + ((len(cells), k) == (3, 2))
+    def corrupt(case_id, a, b, m, n):
+        row = real(case_id, a, b, m, n)
+        return row[:1] + (row[1] + 1,) + row[2:] if n == 4 else row
 
-    monkeypatch.setattr(cases, "_lift", corrupt)
+    monkeypatch.setattr(cases, "_lifted_row", corrupt)
     report = cross_check(CaseSpec(3, a=3, b=1), 2)
     bad = [c for c in report.comparisons if not c.ok]
     assert [c.label for c in bad] == ["explicit-triangle-vs-lift"]
@@ -402,13 +402,13 @@ class TestAdjudication:
         }
 
     def test_corrupted_form_is_caught_in_a_later_table(self, monkeypatch):
-        real = cases.cm_explicit_case1
+        real = cases.cm_explicit_case1_table
 
-        def corrupt(a, m, n, k):
-            value = real(a, m, n, k)
-            return value + 1 if (a, m, n, k) == (2, 3, 7, 4) else value
+        def corrupt(a, m, N):
+            rows = real(a, m, N)
+            return bump_cell(rows, 7, 4) if (a, m) == (2, 3) else rows
 
-        monkeypatch.setattr(cases, "cm_explicit_case1", corrupt)
+        monkeypatch.setattr(cases, "cm_explicit_case1_table", corrupt)
         report = adjudicate_case1_leading_term()
         # five whole tables of 78 cells, then 21 + 4 cells of the sixth
         witness = {"a": 2, "m": 3, "n": 7, "k": 4, "lhs": 1129, "rhs": 1128}

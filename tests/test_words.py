@@ -471,6 +471,8 @@ class TestHeadTailJoin:
         head.ok[letter, -1] = True
         tail.ok[:] = False
         tail.ok[letter, -1] = True
+        # the tail's closed bits, made as its level makes them
+        tail = words._run_side(tail.ok, tail.run, rule)
         heads = [(head, np.zeros(head.ok.size, dtype=np.uint8))]
         [(_, acc)] = words._joins(heads, tail, rule, 1)
         assert acc.sum() == acc[0, letter, -1] == (run % period == 0)
