@@ -8,23 +8,16 @@ cross-verification harness tying them together.
 
 from .cases import (
     CaseSpec,
-    c1_case3_repunit,
     c1_case3_repunit_table,
-    c1_explicit,
     c1_explicit_table,
-    c2_explicit_case2,
     c2_explicit_case2_table,
-    cm_explicit_case1,
-    cm_explicit_case1_alt,
     cm_explicit_case1_alt_table,
     cm_explicit_case1_table,
     f0_prefix,
-    f0_value,
     fm_explicit,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_table,
-    triangle_formula_value,
 )
 from .classics import CLASSIC_NAMES, classic
 from .identity_checks import (
@@ -86,17 +79,12 @@ __all__ = [
     "automaton_histograms",
     "binom",
     "build_dfa",
-    "c1_case3_repunit",
     "c1_case3_repunit_table",
-    "c1_explicit",
     "c1_explicit_table",
-    "c2_explicit_case2",
     "c2_explicit_case2_table",
     "check_all",
     "check_identity",
     "classic",
-    "cm_explicit_case1",
-    "cm_explicit_case1_alt",
     "cm_explicit_case1_alt_table",
     "cm_explicit_case1_table",
     "composition_triangle",
@@ -106,7 +94,6 @@ __all__ = [
     "cross_check",
     "default_grid",
     "f0_prefix",
-    "f0_value",
     "fm_explicit",
     "fm_sequence",
     "invert",
@@ -120,5 +107,4 @@ __all__ = [
     "row_sums",
     "triangle_formula_available",
     "triangle_formula_table",
-    "triangle_formula_value",
 ]

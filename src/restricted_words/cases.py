@@ -20,11 +20,12 @@ enforce this cell by cell).
 
 Each family's recurrence is written once, as a table row of coefficients
 and seeds (``_recurrence``); ``fm_sequence`` iterates it at any m, and
-``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 keep their
-closed-form f_0).  The closed forms cover every family at every level:
-c_m(n,k), m >= 1, lifts one closed-form c_1 row through the single
-``_lifted_row`` sum (family 2's c_2 has a closed form of its own), and
-f_m(n), m >= 0, weights that row by m^(i-1), the lift summed over k.
+``f0_prefix`` at m = 0 for families 3-5 (families 1 and 2 compute their
+closed-form f_0 inline).  The closed forms cover every family at every
+level: c_m(n,k), m >= 1, lifts one closed-form c_1 row through the
+single ``_lifted_row`` sum (family 2's c_2 has a closed form of its
+own), and f_m(n), m >= 0, weights that row by m^(i-1), the lift summed
+over k.
 
 Each closed form is evaluated one row per (parameters, m, n):
 ``_c1_row`` keyed by (family, a, b, n), ``_c2_row`` by (a, n),
@@ -39,14 +40,14 @@ the cached c_1 row; no row is derived from a triangle or a recurrence:
 the repunit row does not read the family-3 row and the c_2 row is no
 lift, so every closed form stays a route of its own.
 
-Each closed form has a cell function and a table function.  The cell
-function (``c1_explicit``, ``c1_case3_repunit``, ``c2_explicit_case2``,
-``cm_explicit_case1``, ``cm_explicit_case1_alt`` and
-``triangle_formula_value``) checks its arguments and reads one cell of
-its row.  The table function (the same name with ``_table``; for the
-last, ``triangle_formula_table``) checks its arguments once and returns
-rows 1..N, the row tuples themselves.  The m-power variant adds its
-leading-term difference to the lifted row, uncached.
+Each closed form is read a table at a time: ``c1_explicit_table``,
+``c1_case3_repunit_table``, ``c2_explicit_case2_table``,
+``cm_explicit_case1_table``, ``cm_explicit_case1_alt_table`` and
+``triangle_formula_table`` check their arguments once and return rows
+1..N, the cached row tuples themselves, row n the cells k = 1..n; a
+caller that wants one cell indexes its row.  The m-power variant adds
+its leading-term difference to the lifted row, uncached.  ``fm_explicit``
+is the one closed form served a value at a time.
 
 The six ``lru_cache``s are unbounded, and each grows by one row per
 distinct key:
@@ -137,6 +138,7 @@ class CaseSpec(_CaseFields):
 
     def alphabet_size(self, m: int) -> int:
         """Full alphabet size once m unrestricted letters are added."""
+        m = _as_param("m", m)
         if m < 0:
             raise ValueError("m must be >= 0")
         return self.base_alphabet + m
@@ -175,26 +177,18 @@ def _iterate(coefficients: tuple[int, ...], seeds: tuple[int, ...], N: int) -> l
     return vals
 
 
-def f0_value(spec: CaseSpec, n: int) -> int:
-    """Base count f_0(n): valid words of length n-1 over the base alphabet."""
-    n = _as_param("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = spec.a
-    if spec.case_id == 1:
-        return 1 if n == 1 else a * (a - 1) ** (n - 2)
-    if spec.case_id == 2:
-        return 0 if n % 2 == 0 else a ** ((n - 1) // 2)
-    return f0_prefix(spec, n).at(n)
-
-
 def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
-    """The prefix f_0(1..N)."""
+    """The prefix f_0(1..N): valid words of length n-1 over the base
+    alphabet, from the closed form for families 1 and 2 and from the
+    recurrence at m = 0 for families 3-5."""
     N = _as_param("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if spec.case_id in (1, 2):
-        return Sequence(f0_value(spec, n) for n in range(1, N + 1))
+    a = spec.a
+    if spec.case_id == 1:
+        return Sequence([1] + [a * (a - 1) ** (n - 2) for n in range(2, N + 1)])
+    if spec.case_id == 2:
+        return Sequence(a ** (n // 2) if n % 2 else 0 for n in range(1, N + 1))
     return Sequence(_iterate(*_recurrence(spec, 0), N))
 
 
@@ -206,11 +200,6 @@ def fm_sequence(spec: CaseSpec, m: int, N: int) -> Sequence:
     if N < 1:
         raise ValueError("N must be >= 1")
     return Sequence(_iterate(*_recurrence(spec, m), N))
-
-
-def _check_cell(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
 def _check_positive(name: str, value: int) -> None:
@@ -298,16 +287,9 @@ def _c1_row(case_id: int, a: int | None, b: int | None, n: int) -> tuple[int, ..
     )
 
 
-def c1_explicit(spec: CaseSpec, n: int, k: int) -> int:
-    """Closed form for c_1(n,k), the weight of compositions of n into k
-    parts under f_0; equals the convolution-triangle entry."""
-    n, k = _as_param("n", n), _as_param("k", k)
-    _check_cell(n, k)
-    return _c1_row(spec.case_id, spec.a, spec.b, n)[k - 1]
-
-
 def c1_explicit_table(spec: CaseSpec, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`c1_explicit`, row n the cells k = 1..n."""
+    """Rows 1..N of the closed form for c_1(n,k), the weight of
+    compositions of n into k parts under f_0."""
     N = _as_param("N", N)
     _check_positive("N", N)
     return tuple(_c1_row(spec.case_id, spec.a, spec.b, n) for n in range(1, N + 1))
@@ -327,17 +309,9 @@ def _repunit_row(b: int, n: int) -> tuple[int, ...]:
     )
 
 
-def c1_case3_repunit(b: int, n: int, k: int) -> int:
-    """Family-3 closed form specialized to a = b+1, where the roots are
-    1 and 1/b and the Lucas-sequence sum collapses to plain powers of b."""
-    b, n, k = _as_param("b", b), _as_param("n", n), _as_param("k", k)
-    _check_positive("b", b)
-    _check_cell(n, k)
-    return _repunit_row(b, n)[k - 1]
-
-
 def c1_case3_repunit_table(b: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`c1_case3_repunit`, row n the cells k = 1..n."""
+    """Rows 1..N of family 3's c_1 at a = b+1, where the roots are 1 and
+    1/b and the Lucas-sequence sum collapses to plain powers of b."""
     b, N = _as_param("b", b), _as_param("N", N)
     _check_positive("b", b)
     _check_positive("N", N)
@@ -360,17 +334,9 @@ def _c2_row(a: int, n: int) -> tuple[int, ...]:
     )
 
 
-def c2_explicit_case2(a: int, n: int, k: int) -> int:
-    """Closed form for the family-2 level-2 triangle c_2(n,k); n is the
-    row index, dispatched by parity."""
-    a, n, k = _as_param("a", a), _as_param("n", n), _as_param("k", k)
-    _check_positive("a", a)
-    _check_cell(n, k)
-    return _c2_row(a, n)[k - 1]
-
-
 def c2_explicit_case2_table(a: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`c2_explicit_case2`, row n the cells k = 1..n."""
+    """Rows 1..N of the closed form for family 2's level-2 triangle
+    c_2(n,k), each row dispatched by the parity of n."""
     a, N = _as_param("a", a), _as_param("N", N)
     _check_positive("a", a)
     _check_positive("N", N)
@@ -410,23 +376,13 @@ def _variant_row(a: int, m: int, n: int) -> tuple[int, ...]:
     )
 
 
-def cm_explicit_case1(a: int, m: int, n: int, k: int) -> int:
-    """Expanded closed form for the family-1 triangle c_m(n,k), m >= 1:
-    the closed-form c_1 row lifted to level m.
+def cm_explicit_case1_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..N of the expanded closed form for family 1's c_m(n,k),
+    m >= 1: the closed-form c_1 rows lifted to level m.
 
     The leading (i = n) term is (m-1)^(n-k) * C(n-1,k-1); summed over k
     it gives m^(n-1) by the binomial theorem.
     """
-    a, m = _as_param("a", a), _as_param("m", m)
-    n, k = _as_param("n", n), _as_param("k", k)
-    _check_positive("m", m)
-    _check_positive("a", a)
-    _check_cell(n, k)
-    return _lifted_row(1, a, None, m, n)[k - 1]
-
-
-def cm_explicit_case1_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`cm_explicit_case1`, row n the cells k = 1..n."""
     a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
     _check_positive("m", m)
     _check_positive("a", a)
@@ -434,24 +390,14 @@ def cm_explicit_case1_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ..
     return tuple(_lifted_row(1, a, None, m, n) for n in range(1, N + 1))
 
 
-def cm_explicit_case1_alt(a: int, m: int, n: int, k: int) -> int:
-    """Variant of :func:`cm_explicit_case1` whose leading term is
+def cm_explicit_case1_alt_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """Variant of :func:`cm_explicit_case1_table` whose leading term is
     m^(n-k) * C(n-1,k-1) instead of (m-1)^(n-k) * C(n-1,k-1).
 
     Disagrees with the triangle lift already at (a,m,n,k) = (1,2,2,1)
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
     """
-    a, m = _as_param("a", a), _as_param("m", m)
-    n, k = _as_param("n", n), _as_param("k", k)
-    _check_positive("m", m)
-    _check_positive("a", a)
-    _check_cell(n, k)
-    return _variant_row(a, m, n)[k - 1]
-
-
-def cm_explicit_case1_alt_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`cm_explicit_case1_alt`, row n the cells k = 1..n."""
     a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
     _check_positive("m", m)
     _check_positive("a", a)
@@ -493,24 +439,11 @@ def _formula_row(spec: CaseSpec, m: int, n: int) -> tuple[int, ...]:
     return _lifted_row(spec.case_id, spec.a, spec.b, m, n)
 
 
-def triangle_formula_value(spec: CaseSpec, m: int, n: int, k: int) -> int:
-    """Level-m triangle entry c_m(n,k), m >= 1, from the closed forms.
-
-    Family 2 at m = 2 reads the paper's own c_2, the row of
-    :func:`c2_explicit_case2`; every other point lifts the closed-form c_1
-    row to level m, as :func:`cm_explicit_case1` does for family 1.
-    """
-    m, n, k = _as_param("m", m), _as_param("n", n), _as_param("k", k)
-    _check_positive("m", m)
-    _check_cell(n, k)
-    return _formula_row(spec, m, n)[k - 1]
-
-
 def triangle_formula_table(
     spec: CaseSpec, m: int, N: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of :func:`triangle_formula_value`, row n the cells
-    k = 1..n."""
+    """Rows 1..N of the level-m triangle c_m(n,k), m >= 1, from the
+    closed forms: family 2's own c_2 at m = 2, else the lifted c_1."""
     m, N = _as_param("m", m), _as_param("N", N)
     _check_positive("m", m)
     _check_positive("N", N)

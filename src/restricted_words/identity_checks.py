@@ -20,7 +20,7 @@ from .cases import (
     c1_case3_repunit_table,
     c1_explicit_table,
     c2_explicit_case2_table,
-    f0_value,
+    f0_prefix,
     fm_explicit,
 )
 from .classics import fibonacci, jacobsthal, mersenne, padovan, pell, tribonacci
@@ -148,8 +148,8 @@ def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
 
 def _padovan_compositions(max_n: int) -> Iterator[Checkpoint]:
     # compositions of n - 1 into parts 2 and 3, Padovan's P(n + 2)
-    for n in range(1, max_n + 1):
-        yield {"n": n}, f0_value(CaseSpec(5), n), padovan(n + 2)
+    for n, value in enumerate(f0_prefix(CaseSpec(5), max_n), start=1):
+        yield {"n": n}, value, padovan(n + 2)
 
 
 _REGISTRY: dict[str, Callable[[int], Iterator[Checkpoint]]] = {

@@ -301,8 +301,8 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
         raise ValueError("max_n must be >= 1")
     witness = {"a": 1, "m": 2, "n": 2, "k": 1}
     lift_at = triangle_rows(CaseSpec(1, a=1), 2, 2, "eq3").at(2, 1)
-    printed = cases.cm_explicit_case1_alt(1, 2, 2, 1)
-    corrected = cases.cm_explicit_case1(1, 2, 2, 1)
+    printed = cases.cm_explicit_case1_alt_table(1, 2, 2)[1][0]
+    corrected = cases.cm_explicit_case1_table(1, 2, 2)[1][0]
 
     # one eq3 c_1 per a, lifted to each m
     c1s = {a: triangle_rows(CaseSpec(1, a=a), 1, max_n, "eq3") for a in (1, 2, 3)}

@@ -11,10 +11,10 @@ import time
 
 from restricted_words.cases import (
     CaseSpec,
-    c1_case3_repunit,
-    c1_explicit,
-    c2_explicit_case2,
-    cm_explicit_case1,
+    c1_case3_repunit_table,
+    c1_explicit_table,
+    c2_explicit_case2_table,
+    cm_explicit_case1_table,
     f0_prefix,
     fm_explicit,
     fm_sequence,
@@ -117,38 +117,27 @@ def test_criterion_3_explicit_formula_equivalence(capsys):
         if got != want:
             failures.append((label, got, want))
 
+    def compare_table(label, rows, triangle):
+        # every cell of rows 1..N, each one comparison
+        for n in range(1, N + 1):
+            for k in range(1, n + 1):
+                compare((*label, n, k), rows[n - 1][k - 1], triangle.at(n, k))
+
     for spec in GRID_SPECS:
         sid = spec_id(spec)
         c1 = composition_triangle(f0_prefix(spec, N))
-        for n in range(1, N + 1):
-            for k in range(1, n + 1):
-                compare((sid, "c1", n, k), c1_explicit(spec, n, k), c1.at(n, k))
+        compare_table((sid, "c1"), c1_explicit_table(spec, N), c1)
         if spec.case_id == 3 and spec.a == spec.b + 1:
-            for n in range(1, N + 1):
-                for k in range(1, n + 1):
-                    compare(
-                        (sid, "repunit", n, k),
-                        c1_case3_repunit(spec.b, n, k),
-                        c1.at(n, k),
-                    )
+            compare_table((sid, "repunit"), c1_case3_repunit_table(spec.b, N), c1)
         if spec.case_id == 2:
             c2 = composition_triangle(invert_power(f0_prefix(spec, N), 1))
-            for n in range(1, N + 1):
-                for k in range(1, n + 1):
-                    compare(
-                        (sid, "c2", n, k), c2_explicit_case2(spec.a, n, k), c2.at(n, k)
-                    )
+            compare_table((sid, "c2"), c2_explicit_case2_table(spec.a, N), c2)
         if spec.case_id == 1:
             for m in (1, 2):
                 cm = composition_triangle(invert_power(f0_prefix(spec, N), m - 1))
+                compare_table((sid, "cm", m), cm_explicit_case1_table(spec.a, m, N), cm)
                 sums = row_sums(cm)
                 for n in range(1, N + 1):
-                    for k in range(1, n + 1):
-                        compare(
-                            (sid, "cm", m, n, k),
-                            cm_explicit_case1(spec.a, m, n, k),
-                            cm.at(n, k),
-                        )
                     compare((sid, "fm", m, n), fm_explicit(spec, m, n), sums.at(n))
         else:
             for m in levels_for(spec):

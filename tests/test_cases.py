@@ -20,23 +20,16 @@ from conftest import (
 from restricted_words import cases
 from restricted_words.cases import (
     CaseSpec,
-    c1_case3_repunit,
     c1_case3_repunit_table,
-    c1_explicit,
     c1_explicit_table,
-    c2_explicit_case2,
     c2_explicit_case2_table,
-    cm_explicit_case1,
-    cm_explicit_case1_alt,
     cm_explicit_case1_alt_table,
     cm_explicit_case1_table,
     f0_prefix,
-    f0_value,
     fm_explicit,
     fm_sequence,
     triangle_formula_available,
     triangle_formula_table,
-    triangle_formula_value,
 )
 from restricted_words.sequences import (
     binom,
@@ -47,25 +40,19 @@ from restricted_words.sequences import (
 
 
 # each public function of cases with integer arguments, and the names of
-# its trailing arguments that must be integers; at n = 70 a numpy int64
+# its trailing arguments that must be integers; at row 70 a numpy int64
 # that is not taken as an exact int overflows in the powers
 INTEGER_ARGUMENT_CALLS = [
-    (f0_value, (CaseSpec(1, a=3), 70), "n"),
-    (f0_prefix, (CaseSpec(4), 6), "N"),
+    (CaseSpec(1, a=3).alphabet_size, (2,), "m"),
+    (f0_prefix, (CaseSpec(1, a=3), 70), "N"),
     (fm_sequence, (CaseSpec(5), 2, 8), "m N"),
-    (c1_explicit, (CaseSpec(3, a=3, b=1), 6, 2), "n k"),
-    (c1_case3_repunit, (2, 6, 2), "b n k"),
-    (c2_explicit_case2, (2, 7, 3), "a n k"),
-    (cm_explicit_case1, (2, 3, 70, 1), "a m n k"),
-    (cm_explicit_case1_alt, (2, 3, 70, 1), "a m n k"),
     (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
     (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
-    (triangle_formula_value, (CaseSpec(2, a=2), 2, 7, 3), "m n k"),
     (c1_explicit_table, (CaseSpec(3, a=3, b=1), 6), "N"),
     (c1_case3_repunit_table, (2, 6), "b N"),
     (c2_explicit_case2_table, (2, 7), "a N"),
-    (cm_explicit_case1_table, (2, 3, 8), "a m N"),
-    (cm_explicit_case1_alt_table, (2, 3, 8), "a m N"),
+    (cm_explicit_case1_table, (2, 3, 70), "a m N"),
+    (cm_explicit_case1_alt_table, (2, 3, 70), "a m N"),
     (triangle_formula_table, (CaseSpec(2, a=2), 2, 7), "m N"),
 ]
 
@@ -143,26 +130,28 @@ class TestCaseSpec:
         assert CaseSpec(5).alphabet_size(3) == 5
         with pytest.raises(ValueError):
             CaseSpec(4).alphabet_size(-1)
+        # m is taken as an exact int, so a numpy int8 does not wrap
+        assert CaseSpec(1, a=2).alphabet_size(np.int8(127)) == 129
 
 
 class TestF0:
     def test_frozen_values(self):
-        assert f0_value(CaseSpec(1, a=3), 4) == 12
-        assert f0_value(CaseSpec(3, a=3, b=2), 4) == 15
-        assert f0_value(CaseSpec(2, a=2), 4) == 0
-        assert f0_value(CaseSpec(4), 7) == 5
-        assert f0_value(CaseSpec(5), 8) == 3
+        assert f0_prefix(CaseSpec(1, a=3), 4).at(4) == 12
+        assert f0_prefix(CaseSpec(3, a=3, b=2), 4).at(4) == 15
+        assert f0_prefix(CaseSpec(2, a=2), 4).at(4) == 0
+        assert f0_prefix(CaseSpec(4), 7).at(7) == 5
+        assert f0_prefix(CaseSpec(5), 8).at(8) == 3
 
     def test_n_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            f0_value(CaseSpec(4), 0)
-        with pytest.raises(ValueError):
-            f0_prefix(CaseSpec(4), 0)
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="^N must be >= 1$"):
+                f0_prefix(CaseSpec(4), N)
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
     def test_prefix_matches_values(self, spec):
+        # f_0(n) is the one-part cell c_1(n,1) of the closed form
         pref = f0_prefix(spec, 12)
-        assert list(pref) == [f0_value(spec, n) for n in range(1, 13)]
+        assert list(pref) == [row[0] for row in c1_explicit_table(spec, 12)]
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
     def test_prefix_is_level_zero_recurrence(self, spec):
@@ -171,7 +160,7 @@ class TestF0:
     def test_case3_near_diagonal_closed_forms(self):
         # a = b+1 gives (b^n - 1)/(b - 1); for b = 1 that degenerates to n
         assert list(f0_prefix(CaseSpec(3, a=2, b=1), 8)) == list(range(1, 9))
-        assert [f0_value(CaseSpec(3, a=3, b=2), n) for n in range(1, 9)] == [
+        assert list(f0_prefix(CaseSpec(3, a=3, b=2), 8)) == [
             2**n - 1 for n in range(1, 9)
         ]
 
@@ -182,8 +171,6 @@ class TestF0:
         # family 5 has three seeds; shorter prefixes truncate them
         assert list(f0_prefix(CaseSpec(5), 1)) == [1]
         assert list(f0_prefix(CaseSpec(5), 2)) == [1, 0]
-        assert f0_value(CaseSpec(5), 1) == 1
-        assert f0_value(CaseSpec(5), 2) == 0
 
 
 class TestFmSequence:
@@ -230,18 +217,12 @@ class TestFmSequence:
 
 class TestC1Explicit:
     def test_frozen_values(self):
-        assert c1_explicit(CaseSpec(2, a=1), 6, 2) == 3
-        assert c1_explicit(CaseSpec(2, a=3), 7, 2) == 0
-        assert c1_explicit(CaseSpec(3, a=3, b=2), 3, 2) == 6
-        assert c1_explicit(CaseSpec(4), 5, 2) == 2
-        assert c1_explicit(CaseSpec(5), 5, 2) == 2
-        assert c1_explicit(CaseSpec(1, a=2), 3, 1) == 2
-
-    def test_bad_cell_rejected(self):
-        with pytest.raises(ValueError):
-            c1_explicit(CaseSpec(4), 3, 4)
-        with pytest.raises(ValueError):
-            c1_explicit(CaseSpec(4), 3, 0)
+        assert c1_explicit_table(CaseSpec(2, a=1), 6)[5][1] == 3
+        assert c1_explicit_table(CaseSpec(2, a=3), 7)[6][1] == 0
+        assert c1_explicit_table(CaseSpec(3, a=3, b=2), 3)[2][1] == 6
+        assert c1_explicit_table(CaseSpec(4), 5)[4][1] == 2
+        assert c1_explicit_table(CaseSpec(5), 5)[4][1] == 2
+        assert c1_explicit_table(CaseSpec(1, a=2), 3)[2][0] == 2
 
     # off-grid points: family 1 up to a = 8 and every family-3 pair
     # 1 <= b < a <= 8 (plus a = 10, b = 9), which reach discriminants
@@ -260,68 +241,87 @@ class TestC1Explicit:
     )
     def test_equals_convolution_triangle(self, spec):
         t = composition_triangle(f0_prefix(spec, 40))
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                assert c1_explicit(spec, n, k) == t.at(n, k), (spec, n, k)
+        assert c1_explicit_table(spec, 40) == t.rows, spec
 
     def test_diagonal_is_one(self):
         for spec in GRID_SPECS:
-            assert c1_explicit(spec, 9, 9) == 1
+            assert [row[-1] for row in c1_explicit_table(spec, 9)] == [1] * 9
 
     def test_repunit_specialization_agrees(self):
         for b in (1, 2):
             spec = CaseSpec(3, a=b + 1, b=b)
-            for n in range(1, 13):
-                for k in range(1, n + 1):
-                    assert c1_case3_repunit(b, n, k) == c1_explicit(spec, n, k)
+            assert c1_case3_repunit_table(b, 12) == c1_explicit_table(spec, 12)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_repunit_equals_convolution_triangle(self, b):
         t = composition_triangle(f0_prefix(CaseSpec(3, a=b + 1, b=b), 40))
-        for n in range(1, 41):
-            for k in range(1, n + 1):
-                assert c1_case3_repunit(b, n, k) == t.at(n, k), (b, n, k)
+        assert c1_case3_repunit_table(b, 40) == t.rows
 
     def test_repunit_rejects_bad_b(self):
         with pytest.raises(ValueError):
-            c1_case3_repunit(0, 3, 1)
+            c1_case3_repunit_table(0, 3)
 
 
 class TestC2ExplicitCase2:
     def test_frozen_values(self):
-        assert c2_explicit_case2(1, 4, 2) == 5
-        assert c2_explicit_case2(1, 3, 1) == 2
-        assert c2_explicit_case2(1, 3, 3) == 1
+        rows = c2_explicit_case2_table(1, 4)
+        assert rows[3][1] == 5
+        assert rows[2][0] == 2
+        assert rows[2][2] == 1
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_equals_lifted_triangle(self, a):
         spec = CaseSpec(2, a=a)
         t = lift_triangle(composition_triangle(f0_prefix(spec, 60)), 2)
-        for n in range(1, 61):
-            for k in range(1, n + 1):
-                assert c2_explicit_case2(a, n, k) == t.at(n, k), (a, n, k)
+        assert c2_explicit_case2_table(a, 60) == t.rows
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            c2_explicit_case2(0, 3, 1)
-        with pytest.raises(ValueError):
-            c2_explicit_case2(1, 3, 4)
+            c2_explicit_case2_table(0, 3)
 
 
 class TestRowCallOrder:
     # each closed form caches whole rows and shares subterms between them;
-    # a high row asked for first must leave every later cell as it would
-    # be from a cold start in ascending order
+    # a high row built first (through the private row function, since a
+    # table builds its rows in ascending order) must leave every later
+    # table as it would be from a cold start
     FORMS = {
-        "c1-case1": lambda n, k: c1_explicit(CaseSpec(1, a=3), n, k),
-        "c1-case2": lambda n, k: c1_explicit(CaseSpec(2, a=2), n, k),
-        "c1-case3": lambda n, k: c1_explicit(CaseSpec(3, a=5, b=2), n, k),
-        "c1-case4": lambda n, k: c1_explicit(CaseSpec(4), n, k),
-        "c1-case5": lambda n, k: c1_explicit(CaseSpec(5), n, k),
-        "c2-case2": lambda n, k: c2_explicit_case2(3, n, k),
-        "repunit": lambda n, k: c1_case3_repunit(3, n, k),
-        "cm-case1": lambda n, k: cm_explicit_case1(3, 4, n, k),
-        "formula-case3": lambda n, k: triangle_formula_value(CaseSpec(3, a=5, b=2), 3, n, k),
+        "c1-case1": (
+            lambda N: c1_explicit_table(CaseSpec(1, a=3), N),
+            lambda: cases._c1_row(1, 3, None, 30),
+        ),
+        "c1-case2": (
+            lambda N: c1_explicit_table(CaseSpec(2, a=2), N),
+            lambda: cases._c1_row(2, 2, None, 30),
+        ),
+        "c1-case3": (
+            lambda N: c1_explicit_table(CaseSpec(3, a=5, b=2), N),
+            lambda: cases._c1_row(3, 5, 2, 30),
+        ),
+        "c1-case4": (
+            lambda N: c1_explicit_table(CaseSpec(4), N),
+            lambda: cases._c1_row(4, None, None, 30),
+        ),
+        "c1-case5": (
+            lambda N: c1_explicit_table(CaseSpec(5), N),
+            lambda: cases._c1_row(5, None, None, 30),
+        ),
+        "c2-case2": (
+            lambda N: c2_explicit_case2_table(3, N),
+            lambda: cases._c2_row(3, 30),
+        ),
+        "repunit": (
+            lambda N: c1_case3_repunit_table(3, N),
+            lambda: cases._repunit_row(3, 30),
+        ),
+        "cm-case1": (
+            lambda N: cm_explicit_case1_table(3, 4, N),
+            lambda: cases._lifted_row(1, 3, None, 4, 30),
+        ),
+        "formula-case3": (
+            lambda N: triangle_formula_table(CaseSpec(3, a=5, b=2), 3, N),
+            lambda: cases._lifted_row(3, 5, 2, 3, 30),
+        ),
     }
 
     @staticmethod
@@ -338,61 +338,54 @@ class TestRowCallOrder:
 
     @pytest.mark.parametrize("name", FORMS)
     def test_high_row_first_gives_the_same_cells(self, name):
-        form = self.FORMS[name]
-
-        def ascending():
-            return [[form(n, k) for k in range(1, n + 1)] for n in range(1, 31)]
-
+        table, high_row = self.FORMS[name]
         self.clear_caches()
-        cold = ascending()
+        cold = table(30)
         self.clear_caches()
-        form(30, 11)
-        assert ascending() == cold
+        high_row()
+        assert table(30) == cold
 
 
 class TestCmExplicitCase1:
     def test_adjudication_cell(self):
         # the corrected leading term gives the lift value; the variant
         # with the m-power leading term overshoots by 1 here
-        assert cm_explicit_case1(1, 2, 2, 1) == 2
-        assert cm_explicit_case1_alt(1, 2, 2, 1) == 3
+        assert cm_explicit_case1_table(1, 2, 2)[1][0] == 2
+        assert cm_explicit_case1_alt_table(1, 2, 2)[1][0] == 3
 
     def test_diagonal(self):
-        assert cm_explicit_case1(2, 2, 3, 3) == 1
+        assert cm_explicit_case1_table(2, 2, 3)[2][2] == 1
 
     def test_level_one_collapses_to_c1(self):
         # at m = 1 the lift is the identity; both closed forms must also
         # match the convolution triangle of f_0, which reads no closed form
         spec = CaseSpec(1, a=3)
         t = composition_triangle(f0_prefix(spec, 60))
-        for n in range(1, 61):
-            for k in range(1, n + 1):
-                assert cm_explicit_case1(3, 1, n, k) == c1_explicit(spec, n, k)
-                assert cm_explicit_case1(3, 1, n, k) == t.at(n, k), (n, k)
+        rows = cm_explicit_case1_table(3, 1, 60)
+        assert rows == c1_explicit_table(spec, 60)
+        assert rows == t.rows
 
     def test_variant_overshoots_even_at_level_one(self):
         # leading term 1^(n-k) instead of 0^(n-k): every off-diagonal
         # cell gains the spurious C(n-1,k-1)
-        spec = CaseSpec(1, a=3)
+        c1 = c1_explicit_table(CaseSpec(1, a=3), 9)
+        variant = cm_explicit_case1_alt_table(3, 1, 9)
         for n in range(1, 10):
             for k in range(1, n + 1):
                 extra = 0 if n == k else binom(n - 1, k - 1)
-                expect = c1_explicit(spec, n, k) + extra
-                assert cm_explicit_case1_alt(3, 1, n, k) == expect
+                assert variant[n - 1][k - 1] == c1[n - 1][k - 1] + extra
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_lifted_triangle(self, a, m):
         t = lift_triangle(composition_triangle(f0_prefix(CaseSpec(1, a=a), 12)), m)
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                assert cm_explicit_case1(a, m, n, k) == t.at(n, k), (a, m, n, k)
+        assert cm_explicit_case1_table(a, m, 12) == t.rows, (a, m)
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            cm_explicit_case1(2, 0, 3, 1)
+            cm_explicit_case1_table(2, 0, 3)
         with pytest.raises(ValueError):
-            cm_explicit_case1_alt(2, 0, 3, 1)
+            cm_explicit_case1_alt_table(2, 0, 3)
 
 
 class TestFmExplicit:
@@ -411,7 +404,7 @@ class TestFmExplicit:
     def test_family1_level_zero_is_f0(self):
         # the sum collapses to c_1(n,1) = f_0(n), here 3 * 2**68 > 2**63
         spec = CaseSpec(1, a=3)
-        assert fm_explicit(spec, 0, 70) == f0_value(spec, 70) == 3 * 2**68
+        assert fm_explicit(spec, 0, 70) == f0_prefix(spec, 70).at(70) == 3 * 2**68
         assert fm_explicit(spec, np.int64(0), 70) == 3 * 2**68
 
     def test_bad_n(self):
@@ -431,65 +424,50 @@ class TestTriangleFormulaRouting:
         spec, m = point
         if m < 1:
             with pytest.raises(ValueError, match="^m must be >= 1$"):
-                triangle_formula_value(spec, m, 3, 1)
+                triangle_formula_table(spec, m, 3)
             return
         t = lift_triangle(composition_triangle(f0_prefix(spec, 10)), m)
-        for n in range(1, 11):
-            for k in range(1, n + 1):
-                assert triangle_formula_value(spec, m, n, k) == t.at(n, k)
+        assert triangle_formula_table(spec, m, 10) == t.rows
 
 
 def _tables(spec, m, N):
-    # (name, table, the same table cell by cell) for every table function
-    # that covers spec at level m >= 1
-    def cells(cell):
-        return tuple(
-            tuple(cell(n, k) for k in range(1, n + 1)) for n in range(1, N + 1)
-        )
-
+    # (name, table, the same rows by an independent route) for every table
+    # function that covers spec at level m >= 1; the routes read f_0 and
+    # the sequence transforms, no closed form
+    f0 = f0_prefix(spec, N)
+    c1 = composition_triangle(f0)
+    lift = lift_triangle(c1, m).rows
     out = [
-        (
-            "c1_explicit",
-            c1_explicit_table(spec, N),
-            cells(lambda n, k: c1_explicit(spec, n, k)),
-        ),
-        (
-            "triangle_formula",
-            triangle_formula_table(spec, m, N),
-            cells(lambda n, k: triangle_formula_value(spec, m, n, k)),
-        ),
+        ("c1_explicit_table", c1_explicit_table(spec, N), c1.rows),
+        ("triangle_formula_table", triangle_formula_table(spec, m, N), lift),
     ]
     a, b = spec.a, spec.b
     if spec.case_id == 1:
+        # the variant's leading term m^(n-k) C(n-1,k-1) in place of the
+        # lift's (m-1)^(n-k) C(n-1,k-1)
+        variant = tuple(
+            tuple(
+                cell + (m ** (n - k) - (m - 1) ** (n - k)) * binom(n - 1, k - 1)
+                for k, cell in enumerate(row, start=1)
+            )
+            for n, row in enumerate(lift, start=1)
+        )
         out += [
+            ("cm_explicit_case1_table", cm_explicit_case1_table(a, m, N), lift),
             (
-                "cm_explicit_case1",
-                cm_explicit_case1_table(a, m, N),
-                cells(lambda n, k: cm_explicit_case1(a, m, n, k)),
-            ),
-            (
-                "cm_explicit_case1_alt",
+                "cm_explicit_case1_alt_table",
                 cm_explicit_case1_alt_table(a, m, N),
-                cells(lambda n, k: cm_explicit_case1_alt(a, m, n, k)),
+                variant,
             ),
         ]
     if spec.case_id == 2:
-        out.append(
-            (
-                "c2_explicit_case2",
-                c2_explicit_case2_table(a, N),
-                cells(lambda n, k: c2_explicit_case2(a, n, k)),
-            )
-        )
+        c2 = composition_triangle(invert_power(f0, 1)).rows
+        out.append(("c2_explicit_case2_table", c2_explicit_case2_table(a, N), c2))
     if spec.case_id == 3:
-        # the repunit form at this b, whatever a is
-        out.append(
-            (
-                "c1_case3_repunit",
-                c1_case3_repunit_table(b, N),
-                cells(lambda n, k: c1_case3_repunit(b, n, k)),
-            )
-        )
+        # the repunit form at this b, whatever a is, against the a = b+1
+        # convolution
+        repunit = composition_triangle(f0_prefix(CaseSpec(3, a=b + 1, b=b), N)).rows
+        out.append(("c1_case3_repunit_table", c1_case3_repunit_table(b, N), repunit))
     return out
 
 
@@ -513,21 +491,21 @@ TABLE_CALLS = [
 
 
 class TestTables:
-    # each table function returns rows 1..N of its cell function, checking
-    # its arguments once, with the cell function's messages
+    # each table function returns rows 1..N equal to an independent
+    # route's triangle, and checks its arguments once
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
     def test_equal_cell_by_cell_on_the_grid(self, spec):
         for m in (1, 2, 3):
-            for name, table, cells in _tables(spec, m, 12):
-                assert table == cells, (name, m)
+            for name, table, route in _tables(spec, m, 12):
+                assert table == route, (name, m)
                 assert [len(row) for row in table] == list(range(1, 13)), name
 
     @given(OFF_GRID_SPECS, st.integers(1, 6), st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
     def test_equal_cell_by_cell_off_the_grid(self, spec, m, N):
-        for name, table, cells in _tables(spec, m, N):
-            assert table == cells, name
+        for name, table, route in _tables(spec, m, N):
+            assert table == route, name
 
     @pytest.mark.parametrize(
         "func, args", TABLE_CALLS, ids=[func.__name__ for func, _ in TABLE_CALLS]
@@ -556,26 +534,3 @@ class TestTables:
             ):
                 with pytest.raises(ValueError, match="^a must be >= 1$"):
                     call()
-
-    def test_messages_match_the_cell_functions(self):
-        # the same bad parameter gives the same message from both forms
-        pairs = [
-            (lambda: c1_case3_repunit(0, 3, 1), lambda: c1_case3_repunit_table(0, 3)),
-            (lambda: c2_explicit_case2(0, 3, 1), lambda: c2_explicit_case2_table(0, 3)),
-            (lambda: cm_explicit_case1(2, 0, 3, 1), lambda: cm_explicit_case1_table(2, 0, 3)),
-            (lambda: cm_explicit_case1(0, 2, 3, 1), lambda: cm_explicit_case1_table(0, 2, 3)),
-            (
-                lambda: cm_explicit_case1_alt(2, 0, 3, 1),
-                lambda: cm_explicit_case1_alt_table(2, 0, 3),
-            ),
-            (
-                lambda: triangle_formula_value(CaseSpec(4), 0, 3, 1),
-                lambda: triangle_formula_table(CaseSpec(4), 0, 3),
-            ),
-        ]
-        for cell, table in pairs:
-            with pytest.raises(ValueError) as by_cell:
-                cell()
-            with pytest.raises(ValueError) as by_table:
-                table()
-            assert str(by_table.value) == str(by_cell.value)
