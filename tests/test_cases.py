@@ -40,27 +40,39 @@ from restricted_words.sequences import (
 
 
 # each public function of cases with integer arguments, and the names of
-# its trailing arguments that must be integers; at row 70 a numpy int64
-# that is not taken as an exact int overflows in the powers
+# its trailing arguments that must be integers, at a small size
 INTEGER_ARGUMENT_CALLS = [
     (CaseSpec(1, a=3).alphabet_size, (2,), "m"),
-    (f0_prefix, (CaseSpec(1, a=3), 70), "N"),
+    (f0_prefix, (CaseSpec(4), 6), "N"),
     (fm_sequence, (CaseSpec(5), 2, 8), "m N"),
     (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
     (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
     (c1_explicit_table, (CaseSpec(3, a=3, b=1), 6), "N"),
     (c1_case3_repunit_table, (2, 6), "b N"),
     (c2_explicit_case2_table, (2, 7), "a N"),
-    (cm_explicit_case1_table, (2, 3, 70), "a m N"),
-    (cm_explicit_case1_alt_table, (2, 3, 70), "a m N"),
+    (cm_explicit_case1_table, (2, 3, 8), "a m N"),
+    (cm_explicit_case1_alt_table, (2, 3, 8), "a m N"),
     (triangle_formula_table, (CaseSpec(2, a=2), 2, 7), "m N"),
 ]
+
+# each closed form again at row 70, where a numpy int64 that is not taken
+# as an exact int overflows in the powers; the id names the closed form
+CLOSED_FORMS_AT_ROW_70 = {
+    "f0_value": (f0_prefix, (CaseSpec(1, a=3), 70), "N"),
+    "c1_explicit": (c1_explicit_table, (CaseSpec(3, a=3, b=1), 70), "N"),
+    "c1_case3_repunit": (c1_case3_repunit_table, (2, 70), "b N"),
+    "c2_explicit_case2": (c2_explicit_case2_table, (2, 70), "a N"),
+    "cm_explicit_case1": (cm_explicit_case1_table, (2, 3, 70), "a m N"),
+    "cm_explicit_case1_alt": (cm_explicit_case1_alt_table, (2, 3, 70), "a m N"),
+    "triangle_formula_value": (triangle_formula_table, (CaseSpec(2, a=2), 2, 70), "m N"),
+}
 
 
 @pytest.mark.parametrize(
     "func, args, names",
-    INTEGER_ARGUMENT_CALLS,
-    ids=[func.__name__ for func, _, _ in INTEGER_ARGUMENT_CALLS],
+    INTEGER_ARGUMENT_CALLS + list(CLOSED_FORMS_AT_ROW_70.values()),
+    ids=[func.__name__ for func, _, _ in INTEGER_ARGUMENT_CALLS]
+    + list(CLOSED_FORMS_AT_ROW_70),
 )
 def test_integer_arguments(func, args, names):
     # floats are refused as CaseSpec refuses them, naming the argument;
