@@ -9,10 +9,7 @@ cross-verification harness tying them together.
 from .cases import (
     CaseSpec,
     c1_case3_repunit_table,
-    c1_explicit_table,
-    c2_explicit_case2_table,
     cm_explicit_case1_alt_table,
-    cm_explicit_case1_table,
     f0_prefix,
     fm_explicit,
     fm_sequence,
@@ -80,13 +77,10 @@ __all__ = [
     "binom",
     "build_dfa",
     "c1_case3_repunit_table",
-    "c1_explicit_table",
-    "c2_explicit_case2_table",
     "check_all",
     "check_identity",
     "classic",
     "cm_explicit_case1_alt_table",
-    "cm_explicit_case1_table",
     "composition_triangle",
     "count_automaton",
     "count_exhaustive",

@@ -40,14 +40,16 @@ the cached c_1 row; no row is derived from a triangle or a recurrence:
 the repunit row does not read the family-3 row and the c_2 row is no
 lift, so every closed form stays a route of its own.
 
-Each closed form is read a table at a time: ``c1_explicit_table``,
-``c1_case3_repunit_table``, ``c2_explicit_case2_table``,
-``cm_explicit_case1_table``, ``cm_explicit_case1_alt_table`` and
-``triangle_formula_table`` check their arguments once and return rows
-1..N, the cached row tuples themselves, row n the cells k = 1..n; a
-caller that wants one cell indexes its row.  The m-power variant adds
-its leading-term difference to the lifted row, uncached.  ``fm_explicit``
-is the one closed form served a value at a time.
+Each closed form is read a table at a time.  ``triangle_formula_table``
+serves the level-m triangle at every m >= 1: the c_1 row itself at
+m = 1, family 2's own c_2 at m = 2, the lifted c_1 everywhere else.
+``c1_case3_repunit_table`` serves family 3's specialisation at a = b+1,
+and ``cm_explicit_case1_alt_table`` the family-1 variant with the
+m-power leading term, which adds its leading-term difference to the
+lifted row, uncached.  Each checks its arguments once and returns rows
+1..N, row n the cells k = 1..n (the cached row tuples themselves, but
+for the variant); a caller that wants one cell indexes its row.
+``fm_explicit`` is the one closed form served a value at a time.
 
 The six ``lru_cache``s are unbounded, and each grows by one row per
 distinct key:
@@ -55,8 +57,7 @@ distinct key:
 - ``_binomials`` is keyed by x and holds C(x, 0..x), x+1 ints;
 - ``_inner_j_sums`` is keyed by (family 4 or 5, d) and holds d//2 ints;
 - ``_c1_row``, ``_repunit_row``, ``_c2_row`` and ``_lifted_row`` are
-  keyed by their parameters and n, and hold n ints (at m = 1,
-  ``_lifted_row`` holds the c_1 row itself).
+  keyed by their parameters and n, and hold n ints.
 
 The caches have no bound because rows up to N cost O(N^2) ints, the
 size of one N-row triangle, which is what a call up to N computes
@@ -239,7 +240,8 @@ def _inner_j_sums(case_id: int, d: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _c1_row(case_id: int, a: int | None, b: int | None, n: int) -> tuple[int, ...]:
-    """c_1(n,1), ..., c_1(n,n), each cell the family's closed-form sum."""
+    """c_1(n,1), ..., c_1(n,n), the weights of the compositions of n into
+    k parts under f_0, each cell the family's closed-form sum."""
     C = _pascal(n)
     if case_id == 1:
         # sum_i C(k,i) C(n-k-1,k-i-1) a^(k-i) (a-1)^(n-2k+i) off the
@@ -287,14 +289,6 @@ def _c1_row(case_id: int, a: int | None, b: int | None, n: int) -> tuple[int, ..
     )
 
 
-def c1_explicit_table(spec: CaseSpec, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of the closed form for c_1(n,k), the weight of
-    compositions of n into k parts under f_0."""
-    N = _as_param("N", N)
-    _check_positive("N", N)
-    return tuple(_c1_row(spec.case_id, spec.a, spec.b, n) for n in range(1, N + 1))
-
-
 @lru_cache(maxsize=None)
 def _repunit_row(b: int, n: int) -> tuple[int, ...]:
     # sum_{i=0}^{n-k} b^(n-k-i) C(n-i-1,k-1) C(k+i-1,k-1)
@@ -320,7 +314,8 @@ def c1_case3_repunit_table(b: int, N: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _c2_row(a: int, n: int) -> tuple[int, ...]:
-    # n = 2*half - p; odd rows (p = 1) shift both binomials down by one
+    # family 2's level-2 row, dispatched by the parity p of n:
+    # n = 2*half - p, and odd rows (p = 1) shift both binomials down by one
     p = n % 2
     half = (n + p) // 2
     C = _pascal(n)
@@ -334,27 +329,14 @@ def _c2_row(a: int, n: int) -> tuple[int, ...]:
     )
 
 
-def c2_explicit_case2_table(a: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of the closed form for family 2's level-2 triangle
-    c_2(n,k), each row dispatched by the parity of n."""
-    a, N = _as_param("a", a), _as_param("N", N)
-    _check_positive("a", a)
-    _check_positive("N", N)
-    return tuple(_c2_row(a, n) for n in range(1, N + 1))
-
-
 @lru_cache(maxsize=None)
 def _lifted_row(
     case_id: int, a: int | None, b: int | None, m: int, n: int
 ) -> tuple[int, ...]:
-    # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i) for k = 1..n;
-    # at m = 1 every term but i = k has the factor 0^(i-k) = 0, so the lift
-    # is the c_1 row itself.  The weight (m-1)^d C(k-1+d, d) steps from d
-    # to d + 1 by (m-1)(k+d)/(d+1), exactly, since
-    # C(k-1+d, d) (k+d) = C(k+d, d+1) (d+1)
+    # c_m(n,k) = sum_{i=k}^{n} (m-1)^(i-k) C(i-1,k-1) c_1(n,i) for k = 1..n.
+    # The weight (m-1)^d C(k-1+d, d) steps from d to d + 1 by
+    # (m-1)(k+d)/(d+1), exactly, since C(k-1+d, d) (k+d) = C(k+d, d+1) (d+1)
     row = _c1_row(case_id, a, b, n)
-    if m == 1:
-        return row
     lifted = []
     for k in range(1, n + 1):
         total = 0
@@ -376,24 +358,13 @@ def _variant_row(a: int, m: int, n: int) -> tuple[int, ...]:
     )
 
 
-def cm_explicit_case1_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..N of the expanded closed form for family 1's c_m(n,k),
-    m >= 1: the closed-form c_1 rows lifted to level m.
-
-    The leading (i = n) term is (m-1)^(n-k) * C(n-1,k-1); summed over k
-    it gives m^(n-1) by the binomial theorem.
-    """
-    a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
-    _check_positive("m", m)
-    _check_positive("a", a)
-    _check_positive("N", N)
-    return tuple(_lifted_row(1, a, None, m, n) for n in range(1, N + 1))
-
-
 def cm_explicit_case1_alt_table(a: int, m: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """Variant of :func:`cm_explicit_case1_table` whose leading term is
-    m^(n-k) * C(n-1,k-1) instead of (m-1)^(n-k) * C(n-1,k-1).
+    """Rows 1..N of a variant of family 1's expanded c_m(n,k), m >= 1.
 
+    The lift of the c_1 rows (``triangle_formula_table`` at
+    ``CaseSpec(1, a=a)``) has the leading (i = n) term
+    (m-1)^(n-k) * C(n-1,k-1), which summed over k gives m^(n-1) by the
+    binomial theorem; this variant's leading term is m^(n-k) * C(n-1,k-1).
     Disagrees with the triangle lift already at (a,m,n,k) = (1,2,2,1)
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
@@ -432,8 +403,11 @@ def triangle_formula_available(spec: CaseSpec, m: int) -> bool:
 
 
 def _formula_row(spec: CaseSpec, m: int, n: int) -> tuple[int, ...]:
-    # family 2 at m = 2 reads the paper's own c_2; every other point lifts
-    # the c_1 row
+    # at m = 1 every term of the lift but i = k has the factor 0^(i-k) = 0,
+    # so the row is the c_1 row itself; family 2 at m = 2 reads the paper's
+    # own c_2; every other point lifts the c_1 row
+    if m == 1:
+        return _c1_row(spec.case_id, spec.a, spec.b, n)
     if spec.case_id == 2 and m == 2:
         return _c2_row(spec.a, n)
     return _lifted_row(spec.case_id, spec.a, spec.b, m, n)
@@ -443,7 +417,8 @@ def triangle_formula_table(
     spec: CaseSpec, m: int, N: int
 ) -> tuple[tuple[int, ...], ...]:
     """Rows 1..N of the level-m triangle c_m(n,k), m >= 1, from the
-    closed forms: family 2's own c_2 at m = 2, else the lifted c_1."""
+    closed forms: family 2's own c_2 at m = 2, else the closed-form c_1
+    rows lifted to level m (at m = 1, the c_1 rows themselves)."""
     m, N = _as_param("m", m), _as_param("N", N)
     _check_positive("m", m)
     _check_positive("N", N)

@@ -118,8 +118,14 @@ def parse_json(text: str) -> dict:
     values = doc["values"]
     if not isinstance(values, list):
         raise ValueError(f"values must be a list, got {type(values).__name__}")
+    triangle = bool(values) and isinstance(values[0], list)
+    # json's true and false load as bools, which Sequence would take as
+    # the integers 1 and 0
+    for row in values if triangle else [values]:
+        if isinstance(row, list) and any(type(value) is bool for value in row):
+            raise ValueError("values: true and false are not integers")
     try:
-        if values and isinstance(values[0], list):
+        if triangle:
             doc["values"] = Triangle(values)
         else:
             doc["values"] = Sequence(values)

@@ -15,14 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .cases import (
-    CaseSpec,
-    c1_case3_repunit_table,
-    c1_explicit_table,
-    c2_explicit_case2_table,
-    f0_prefix,
-    fm_explicit,
-)
+from . import cases
+from .cases import CaseSpec, c1_case3_repunit_table, f0_prefix, fm_explicit
 from .classics import fibonacci, jacobsthal, mersenne, padovan, pell, tribonacci
 from .sequences import Sequence, _as_param, binom, composition_triangle
 from .words import automaton_counts
@@ -90,12 +84,12 @@ def _index_split(a: int, parity: int, classic_fn) -> Callable[[int], Iterator[Ch
 
 
 def _pell_split(parity: int) -> Callable[[int], Iterator[Checkpoint]]:
-    # P(N) as the row sum of the family-2 (a = 1) level-2 triangle, N = 2n-p
+    # P(N) as the row sum of the family-2 (a = 1) level-2 triangle,
+    # N = 2n-p: only the rows of this parity are built
     def run(max_n: int) -> Iterator[Checkpoint]:
-        rows = c2_explicit_case2_table(1, 2 * max_n - parity)
         for n in range(1, max_n + 1):
             N = 2 * n - parity
-            yield {"n": n}, pell(N), sum(rows[N - 1])
+            yield {"n": n}, pell(N), sum(cases._c2_row(1, N))
 
     return run
 
@@ -128,7 +122,7 @@ def _euler_type(max_n: int) -> Iterator[Checkpoint]:
 
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
     # the family-4 row sum f_1(n) = 2^(n-2), less its diagonal c_1(n,n) = 1
-    rows = c1_explicit_table(CaseSpec(4), max_n)
+    rows = cases.triangle_formula_table(CaseSpec(4), 1, max_n)
     for n in range(3, max_n + 1):
         yield {"n": n}, mersenne(n - 2), sum(rows[n - 1][:-1])
 
@@ -141,7 +135,7 @@ def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
 
 
 def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
-    rows = c1_explicit_table(CaseSpec(5), max_n)
+    rows = cases.triangle_formula_table(CaseSpec(5), 1, max_n)
     for n in range(1, max_n + 1):
         yield {"n": n}, tribonacci(n), sum(rows[n - 1])
 

@@ -8,8 +8,8 @@ included.  The CLI's ``--source`` and :func:`cross_check` both reach
 them through :func:`sequence_values` and :func:`triangle_rows`;
 :func:`cross_check` gets ``eq3`` by lifting the level-1 ``convolution``
 triangle, f_0's own.  The closed forms are read a whole table at a
-time (``cases.c1_explicit_table``, ``cases.triangle_formula_table`` and
-the other ``_table`` functions), each checking its arguments once.
+time, each checking its arguments once: ``cases.triangle_formula_table``
+serves both the closed-form c_1 (at m = 1) and the ``formula`` route.
 
 For one family and extension level this harness compares, cell by cell
 and entry by entry: exhaustive counts, automaton counts, recurrence
@@ -23,15 +23,16 @@ row in one ``==`` and walks only the first row that differs for its
 first witness, so the count and the witness are those of a cell walk.
 
 The harness also adjudicates the two candidate leading terms of the
-family-1 expanded c_m formula: the implemented (m-1)-power form agrees
-with the triangle lift everywhere, while the m-power variant already
-fails at (a, m, n, k) = (1, 2, 2, 1).  Both tables are compared with
-the ``eq3`` c_1 of each a, built once and lifted to m = 1, 2 and 3.
+family-1 expanded c_m formula: the implemented (m-1)-power form, the
+family-1 ``triangle_formula_table``, agrees with the triangle lift
+everywhere, while the m-power variant already fails at
+(a, m, n, k) = (1, 2, 2, 1).  Both tables are compared with the ``eq3``
+c_1 of each a, built once and lifted to m = 1, 2 and 3.
 
 Routes and formulas call through module attributes
-(``cases.c1_explicit_table``, ``words.automaton_counts`` and friends) at
-call time, so a test can substitute a corrupted one and watch the
-harness catch it.
+(``cases.triangle_formula_table``, ``words.automaton_counts`` and
+friends) at call time, so a test can substitute a corrupted one and
+watch the harness catch it.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def cross_check(
             ("marked-exhaustive-vs-triangle", "len,marks", hists, cm.rows),
             ("marked-automaton-vs-triangle", "len,marks", marked_rows, cm.rows),
         ]
-    explicit_c1 = cases.c1_explicit_table(spec, triangle_n)
+    explicit_c1 = cases.triangle_formula_table(spec, 1, triangle_n)
     rows.append(("explicit-c1-vs-convolution", "n,k", explicit_c1, c1.rows))
     if spec.case_id == 3 and spec.a == spec.b + 1:
         repunit = cases.c1_case3_repunit_table(spec.b, triangle_n)
@@ -302,7 +303,7 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
     witness = {"a": 1, "m": 2, "n": 2, "k": 1}
     lift_at = triangle_rows(CaseSpec(1, a=1), 2, 2, "eq3").at(2, 1)
     printed = cases.cm_explicit_case1_alt_table(1, 2, 2)[1][0]
-    corrected = cases.cm_explicit_case1_table(1, 2, 2)[1][0]
+    corrected = cases.triangle_formula_table(CaseSpec(1, a=1), 2, 2)[1][0]
 
     # one eq3 c_1 per a, lifted to each m
     c1s = {a: triangle_rows(CaseSpec(1, a=a), 1, max_n, "eq3") for a in (1, 2, 3)}
@@ -318,7 +319,10 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
                 return Comparison(label, checked, {"a": a, "m": m, **table.witness})
         return Comparison(label, checked)
 
-    agreement = against_lift("corrected-vs-lift", cases.cm_explicit_case1_table)
+    agreement = against_lift(
+        "corrected-vs-lift",
+        lambda a, m, N: cases.triangle_formula_table(CaseSpec(1, a=a), m, N),
+    )
     variant = against_lift("m-power-vs-lift", cases.cm_explicit_case1_alt_table)
     return AdjudicationReport(
         witness, printed, corrected, lift_at, agreement, variant.witness

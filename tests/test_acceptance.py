@@ -12,12 +12,10 @@ import time
 from restricted_words.cases import (
     CaseSpec,
     c1_case3_repunit_table,
-    c1_explicit_table,
-    c2_explicit_case2_table,
-    cm_explicit_case1_table,
     f0_prefix,
     fm_explicit,
     fm_sequence,
+    triangle_formula_table,
 )
 from restricted_words.classics import classic
 from restricted_words.identity_checks import check_all
@@ -126,16 +124,16 @@ def test_criterion_3_explicit_formula_equivalence(capsys):
     for spec in GRID_SPECS:
         sid = spec_id(spec)
         c1 = composition_triangle(f0_prefix(spec, N))
-        compare_table((sid, "c1"), c1_explicit_table(spec, N), c1)
+        compare_table((sid, "c1"), triangle_formula_table(spec, 1, N), c1)
         if spec.case_id == 3 and spec.a == spec.b + 1:
             compare_table((sid, "repunit"), c1_case3_repunit_table(spec.b, N), c1)
         if spec.case_id == 2:
             c2 = composition_triangle(invert_power(f0_prefix(spec, N), 1))
-            compare_table((sid, "c2"), c2_explicit_case2_table(spec.a, N), c2)
+            compare_table((sid, "c2"), triangle_formula_table(spec, 2, N), c2)
         if spec.case_id == 1:
             for m in (1, 2):
                 cm = composition_triangle(invert_power(f0_prefix(spec, N), m - 1))
-                compare_table((sid, "cm", m), cm_explicit_case1_table(spec.a, m, N), cm)
+                compare_table((sid, "cm", m), triangle_formula_table(spec, m, N), cm)
                 sums = row_sums(cm)
                 for n in range(1, N + 1):
                     compare((sid, "fm", m, n), fm_explicit(spec, m, n), sums.at(n))

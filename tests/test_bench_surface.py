@@ -17,10 +17,10 @@ PACKAGE = restricted_words.__name__
 # how many function names ``bench/tracing.py`` still sorts into layers
 # though the package no longer defines them: the single-cell c_1 closed
 # form and the single f_0 value, whose callers now read
-# ``c1_explicit_table`` and ``f0_prefix``.  Those branches of its
-# ``_classify`` never fire, which breaks no run; mending them is a change
-# to the benchmark.  Until then this pins the count, so a further stale
-# name fails here.
+# ``triangle_formula_table`` at m = 1 and ``f0_prefix``.  Those branches
+# of its ``_classify`` never fire, which breaks no run; mending them is a
+# change to the benchmark.  Until then this pins the count, so a further
+# stale name fails here.
 STALE_CLASSIFIED_FUNCTIONS = 2
 
 

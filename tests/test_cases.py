@@ -21,10 +21,7 @@ from restricted_words import cases
 from restricted_words.cases import (
     CaseSpec,
     c1_case3_repunit_table,
-    c1_explicit_table,
-    c2_explicit_case2_table,
     cm_explicit_case1_alt_table,
-    cm_explicit_case1_table,
     f0_prefix,
     fm_explicit,
     fm_sequence,
@@ -39,30 +36,46 @@ from restricted_words.sequences import (
 )
 
 
+def family2_c2(a, N):
+    # family 2's own closed-form c_2, taking a as an argument
+    return triangle_formula_table(CaseSpec(2, a=a), 2, N)
+
+
+def family1_cm(a, m, N):
+    # family 1's lifted c_m, taking a as an argument
+    return triangle_formula_table(CaseSpec(1, a=a), m, N)
+
+
 # each public function of cases with integer arguments, and the names of
-# its trailing arguments that must be integers, at a small size
-INTEGER_ARGUMENT_CALLS = [
-    (CaseSpec(1, a=3).alphabet_size, (2,), "m"),
-    (f0_prefix, (CaseSpec(4), 6), "N"),
-    (fm_sequence, (CaseSpec(5), 2, 8), "m N"),
-    (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
-    (triangle_formula_available, (CaseSpec(2, a=1), 2), "m"),
-    (c1_explicit_table, (CaseSpec(3, a=3, b=1), 6), "N"),
-    (c1_case3_repunit_table, (2, 6), "b N"),
-    (c2_explicit_case2_table, (2, 7), "a N"),
-    (cm_explicit_case1_table, (2, 3, 8), "a m N"),
-    (cm_explicit_case1_alt_table, (2, 3, 8), "a m N"),
-    (triangle_formula_table, (CaseSpec(2, a=2), 2, 7), "m N"),
-]
+# its trailing arguments that must be integers, at a small size; the
+# ``_table`` ids of the c_1, c_2 and family-1 c_m closed forms name
+# triangle_formula_table at that triangle
+INTEGER_ARGUMENT_CALLS = {
+    "alphabet_size": (CaseSpec(1, a=3).alphabet_size, (2,), "m"),
+    "f0_prefix": (f0_prefix, (CaseSpec(4), 6), "N"),
+    "fm_sequence": (fm_sequence, (CaseSpec(5), 2, 8), "m N"),
+    "fm_explicit": (fm_explicit, (CaseSpec(2, a=1), 2, 70), "m n"),
+    "triangle_formula_available": (
+        triangle_formula_available, (CaseSpec(2, a=1), 2), "m"
+    ),
+    "c1_explicit_table": (
+        triangle_formula_table, (CaseSpec(3, a=3, b=1), 1, 6), "m N"
+    ),
+    "c1_case3_repunit_table": (c1_case3_repunit_table, (2, 6), "b N"),
+    "c2_explicit_case2_table": (family2_c2, (2, 7), "a N"),
+    "cm_explicit_case1_table": (family1_cm, (2, 3, 8), "a m N"),
+    "cm_explicit_case1_alt_table": (cm_explicit_case1_alt_table, (2, 3, 8), "a m N"),
+    "triangle_formula_table": (triangle_formula_table, (CaseSpec(2, a=2), 2, 7), "m N"),
+}
 
 # each closed form again at row 70, where a numpy int64 that is not taken
 # as an exact int overflows in the powers; the id names the closed form
 CLOSED_FORMS_AT_ROW_70 = {
     "f0_value": (f0_prefix, (CaseSpec(1, a=3), 70), "N"),
-    "c1_explicit": (c1_explicit_table, (CaseSpec(3, a=3, b=1), 70), "N"),
+    "c1_explicit": (triangle_formula_table, (CaseSpec(3, a=3, b=1), 1, 70), "m N"),
     "c1_case3_repunit": (c1_case3_repunit_table, (2, 70), "b N"),
-    "c2_explicit_case2": (c2_explicit_case2_table, (2, 70), "a N"),
-    "cm_explicit_case1": (cm_explicit_case1_table, (2, 3, 70), "a m N"),
+    "c2_explicit_case2": (family2_c2, (2, 70), "a N"),
+    "cm_explicit_case1": (family1_cm, (2, 3, 70), "a m N"),
     "cm_explicit_case1_alt": (cm_explicit_case1_alt_table, (2, 3, 70), "a m N"),
     "triangle_formula_value": (triangle_formula_table, (CaseSpec(2, a=2), 2, 70), "m N"),
 }
@@ -70,9 +83,8 @@ CLOSED_FORMS_AT_ROW_70 = {
 
 @pytest.mark.parametrize(
     "func, args, names",
-    INTEGER_ARGUMENT_CALLS + list(CLOSED_FORMS_AT_ROW_70.values()),
-    ids=[func.__name__ for func, _, _ in INTEGER_ARGUMENT_CALLS]
-    + list(CLOSED_FORMS_AT_ROW_70),
+    [*INTEGER_ARGUMENT_CALLS.values(), *CLOSED_FORMS_AT_ROW_70.values()],
+    ids=list(INTEGER_ARGUMENT_CALLS) + list(CLOSED_FORMS_AT_ROW_70),
 )
 def test_integer_arguments(func, args, names):
     # floats are refused as CaseSpec refuses them, naming the argument;
@@ -163,7 +175,7 @@ class TestF0:
     def test_prefix_matches_values(self, spec):
         # f_0(n) is the one-part cell c_1(n,1) of the closed form
         pref = f0_prefix(spec, 12)
-        assert list(pref) == [row[0] for row in c1_explicit_table(spec, 12)]
+        assert list(pref) == [row[0] for row in triangle_formula_table(spec, 1, 12)]
 
     @pytest.mark.parametrize("spec", GRID_SPECS, ids=spec_id)
     def test_prefix_is_level_zero_recurrence(self, spec):
@@ -229,12 +241,12 @@ class TestFmSequence:
 
 class TestC1Explicit:
     def test_frozen_values(self):
-        assert c1_explicit_table(CaseSpec(2, a=1), 6)[5][1] == 3
-        assert c1_explicit_table(CaseSpec(2, a=3), 7)[6][1] == 0
-        assert c1_explicit_table(CaseSpec(3, a=3, b=2), 3)[2][1] == 6
-        assert c1_explicit_table(CaseSpec(4), 5)[4][1] == 2
-        assert c1_explicit_table(CaseSpec(5), 5)[4][1] == 2
-        assert c1_explicit_table(CaseSpec(1, a=2), 3)[2][0] == 2
+        assert triangle_formula_table(CaseSpec(2, a=1), 1, 6)[5][1] == 3
+        assert triangle_formula_table(CaseSpec(2, a=3), 1, 7)[6][1] == 0
+        assert triangle_formula_table(CaseSpec(3, a=3, b=2), 1, 3)[2][1] == 6
+        assert triangle_formula_table(CaseSpec(4), 1, 5)[4][1] == 2
+        assert triangle_formula_table(CaseSpec(5), 1, 5)[4][1] == 2
+        assert triangle_formula_table(CaseSpec(1, a=2), 1, 3)[2][0] == 2
 
     # off-grid points: family 1 up to a = 8 and every family-3 pair
     # 1 <= b < a <= 8 (plus a = 10, b = 9), which reach discriminants
@@ -253,16 +265,16 @@ class TestC1Explicit:
     )
     def test_equals_convolution_triangle(self, spec):
         t = composition_triangle(f0_prefix(spec, 40))
-        assert c1_explicit_table(spec, 40) == t.rows, spec
+        assert triangle_formula_table(spec, 1, 40) == t.rows, spec
 
     def test_diagonal_is_one(self):
         for spec in GRID_SPECS:
-            assert [row[-1] for row in c1_explicit_table(spec, 9)] == [1] * 9
+            assert [row[-1] for row in triangle_formula_table(spec, 1, 9)] == [1] * 9
 
     def test_repunit_specialization_agrees(self):
         for b in (1, 2):
             spec = CaseSpec(3, a=b + 1, b=b)
-            assert c1_case3_repunit_table(b, 12) == c1_explicit_table(spec, 12)
+            assert c1_case3_repunit_table(b, 12) == triangle_formula_table(spec, 1, 12)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_repunit_equals_convolution_triangle(self, b):
@@ -276,7 +288,7 @@ class TestC1Explicit:
 
 class TestC2ExplicitCase2:
     def test_frozen_values(self):
-        rows = c2_explicit_case2_table(1, 4)
+        rows = triangle_formula_table(CaseSpec(2, a=1), 2, 4)
         assert rows[3][1] == 5
         assert rows[2][0] == 2
         assert rows[2][2] == 1
@@ -285,11 +297,13 @@ class TestC2ExplicitCase2:
     def test_equals_lifted_triangle(self, a):
         spec = CaseSpec(2, a=a)
         t = lift_triangle(composition_triangle(f0_prefix(spec, 60)), 2)
-        assert c2_explicit_case2_table(a, 60) == t.rows
+        assert triangle_formula_table(spec, 2, 60) == t.rows
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            c2_explicit_case2_table(0, 3)
+        with pytest.raises(ValueError, match="^case 2 needs a >= 1$"):
+            family2_c2(0, 3)
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            family2_c2(1, 0)
 
 
 class TestRowCallOrder:
@@ -299,27 +313,27 @@ class TestRowCallOrder:
     # table as it would be from a cold start
     FORMS = {
         "c1-case1": (
-            lambda N: c1_explicit_table(CaseSpec(1, a=3), N),
+            lambda N: triangle_formula_table(CaseSpec(1, a=3), 1, N),
             lambda: cases._c1_row(1, 3, None, 30),
         ),
         "c1-case2": (
-            lambda N: c1_explicit_table(CaseSpec(2, a=2), N),
+            lambda N: triangle_formula_table(CaseSpec(2, a=2), 1, N),
             lambda: cases._c1_row(2, 2, None, 30),
         ),
         "c1-case3": (
-            lambda N: c1_explicit_table(CaseSpec(3, a=5, b=2), N),
+            lambda N: triangle_formula_table(CaseSpec(3, a=5, b=2), 1, N),
             lambda: cases._c1_row(3, 5, 2, 30),
         ),
         "c1-case4": (
-            lambda N: c1_explicit_table(CaseSpec(4), N),
+            lambda N: triangle_formula_table(CaseSpec(4), 1, N),
             lambda: cases._c1_row(4, None, None, 30),
         ),
         "c1-case5": (
-            lambda N: c1_explicit_table(CaseSpec(5), N),
+            lambda N: triangle_formula_table(CaseSpec(5), 1, N),
             lambda: cases._c1_row(5, None, None, 30),
         ),
         "c2-case2": (
-            lambda N: c2_explicit_case2_table(3, N),
+            lambda N: family2_c2(3, N),
             lambda: cases._c2_row(3, 30),
         ),
         "repunit": (
@@ -327,7 +341,7 @@ class TestRowCallOrder:
             lambda: cases._repunit_row(3, 30),
         ),
         "cm-case1": (
-            lambda N: cm_explicit_case1_table(3, 4, N),
+            lambda N: family1_cm(3, 4, N),
             lambda: cases._lifted_row(1, 3, None, 4, 30),
         ),
         "formula-case3": (
@@ -362,25 +376,26 @@ class TestCmExplicitCase1:
     def test_adjudication_cell(self):
         # the corrected leading term gives the lift value; the variant
         # with the m-power leading term overshoots by 1 here
-        assert cm_explicit_case1_table(1, 2, 2)[1][0] == 2
+        assert family1_cm(1, 2, 2)[1][0] == 2
         assert cm_explicit_case1_alt_table(1, 2, 2)[1][0] == 3
 
     def test_diagonal(self):
-        assert cm_explicit_case1_table(2, 2, 3)[2][2] == 1
+        assert family1_cm(2, 2, 3)[2][2] == 1
 
     def test_level_one_collapses_to_c1(self):
-        # at m = 1 the lift is the identity; both closed forms must also
-        # match the convolution triangle of f_0, which reads no closed form
+        # at m = 1 the lift is the identity: the closed form must match
+        # the convolution triangle of f_0, which reads no closed form, and
+        # that triangle lifted to level 1
         spec = CaseSpec(1, a=3)
         t = composition_triangle(f0_prefix(spec, 60))
-        rows = cm_explicit_case1_table(3, 1, 60)
-        assert rows == c1_explicit_table(spec, 60)
+        rows = family1_cm(3, 1, 60)
         assert rows == t.rows
+        assert rows == lift_triangle(t, 1).rows
 
     def test_variant_overshoots_even_at_level_one(self):
         # leading term 1^(n-k) instead of 0^(n-k): every off-diagonal
         # cell gains the spurious C(n-1,k-1)
-        c1 = c1_explicit_table(CaseSpec(1, a=3), 9)
+        c1 = composition_triangle(f0_prefix(CaseSpec(1, a=3), 9)).rows
         variant = cm_explicit_case1_alt_table(3, 1, 9)
         for n in range(1, 10):
             for k in range(1, n + 1):
@@ -391,11 +406,11 @@ class TestCmExplicitCase1:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_lifted_triangle(self, a, m):
         t = lift_triangle(composition_triangle(f0_prefix(CaseSpec(1, a=a), 12)), m)
-        assert cm_explicit_case1_table(a, m, 12) == t.rows, (a, m)
+        assert family1_cm(a, m, 12) == t.rows, (a, m)
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            cm_explicit_case1_table(2, 0, 3)
+            family1_cm(2, 0, 3)
         with pytest.raises(ValueError):
             cm_explicit_case1_alt_table(2, 0, 3)
 
@@ -443,14 +458,15 @@ class TestTriangleFormulaRouting:
 
 
 def _tables(spec, m, N):
-    # (name, table, the same rows by an independent route) for every table
-    # function that covers spec at level m >= 1; the routes read f_0 and
-    # the sequence transforms, no closed form
+    # (name, closed-form table, the same rows by an independent route) for
+    # every closed form that covers spec at level m >= 1: c_1, c_m, family
+    # 2's own c_2 and the two table functions of their own; the routes read
+    # f_0 and the sequence transforms, no closed form
     f0 = f0_prefix(spec, N)
     c1 = composition_triangle(f0)
     lift = lift_triangle(c1, m).rows
     out = [
-        ("c1_explicit_table", c1_explicit_table(spec, N), c1.rows),
+        ("c1", triangle_formula_table(spec, 1, N), c1.rows),
         ("triangle_formula_table", triangle_formula_table(spec, m, N), lift),
     ]
     a, b = spec.a, spec.b
@@ -464,17 +480,12 @@ def _tables(spec, m, N):
             )
             for n, row in enumerate(lift, start=1)
         )
-        out += [
-            ("cm_explicit_case1_table", cm_explicit_case1_table(a, m, N), lift),
-            (
-                "cm_explicit_case1_alt_table",
-                cm_explicit_case1_alt_table(a, m, N),
-                variant,
-            ),
-        ]
+        alt = cm_explicit_case1_alt_table(a, m, N)
+        out.append(("cm_explicit_case1_alt_table", alt, variant))
     if spec.case_id == 2:
+        # family 2's own c_2 against the convolution of f_1, not the lift
         c2 = composition_triangle(invert_power(f0, 1)).rows
-        out.append(("c2_explicit_case2_table", c2_explicit_case2_table(a, N), c2))
+        out.append(("c2", triangle_formula_table(spec, 2, N), c2))
     if spec.case_id == 3:
         # the repunit form at this b, whatever a is, against the a = b+1
         # convolution
@@ -495,11 +506,11 @@ OFF_GRID_SPECS = st.one_of(
 
 
 # the table functions, with arguments that give a table of N rows last
-TABLE_CALLS = [
-    (func, args)
-    for func, args, _ in INTEGER_ARGUMENT_CALLS
-    if func.__name__.endswith("_table")
-]
+TABLE_CALLS = {
+    name: (func, args)
+    for name, (func, args, _) in INTEGER_ARGUMENT_CALLS.items()
+    if name.endswith("_table")
+}
 
 
 class TestTables:
@@ -520,7 +531,7 @@ class TestTables:
             assert table == route, name
 
     @pytest.mark.parametrize(
-        "func, args", TABLE_CALLS, ids=[func.__name__ for func, _ in TABLE_CALLS]
+        "func, args", list(TABLE_CALLS.values()), ids=list(TABLE_CALLS)
     )
     def test_refuse_fewer_than_one_row(self, func, args):
         for N in (0, -1):
@@ -531,7 +542,7 @@ class TestTables:
         for m in (0, -1):
             for call in (
                 lambda: triangle_formula_table(CaseSpec(4), m, 5),
-                lambda: cm_explicit_case1_table(2, m, 5),
+                lambda: family1_cm(2, m, 5),
                 lambda: cm_explicit_case1_alt_table(2, m, 5),
             ):
                 with pytest.raises(ValueError, match="^m must be >= 1$"):
@@ -539,10 +550,12 @@ class TestTables:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="^b must be >= 1$"):
                 c1_case3_repunit_table(bad, 5)
-            for call in (
-                lambda: c2_explicit_case2_table(bad, 5),
-                lambda: cm_explicit_case1_table(bad, 2, 5),
-                lambda: cm_explicit_case1_alt_table(bad, 2, 5),
+            # a family's spec refuses a bad a before any table is read
+            for case_id, call in (
+                (2, lambda: family2_c2(bad, 5)),
+                (1, lambda: family1_cm(bad, 2, 5)),
             ):
-                with pytest.raises(ValueError, match="^a must be >= 1$"):
+                with pytest.raises(ValueError, match=f"^case {case_id} needs a >= 1$"):
                     call()
+            with pytest.raises(ValueError, match="^a must be >= 1$"):
+                cm_explicit_case1_alt_table(bad, 2, 5)

@@ -222,19 +222,25 @@ def test_verify_without_target_exits_2(capsys):
 
 
 def test_verify_corrupted_formula_exits_1(capsys, monkeypatch):
-    real = cases.c1_explicit_table
+    real = cases.triangle_formula_table
 
-    def corrupted(spec, N):
-        return bump_cell(real(spec, N), 6, 2)
+    def corrupted(spec, m, N):
+        return bump_cell(real(spec, m, N), 6, 2)
 
-    monkeypatch.setattr(cases, "c1_explicit_table", corrupted)
+    monkeypatch.setattr(cases, "triangle_formula_table", corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--case", "4", "--m", "1", "--max-len", "6",
         "--triangle-n", "8",
     )
     assert code == 1
-    assert "MISMATCH" in out
-    assert "n=6" in out and "k=2" in out
+    # at m = 1 the table serves both the closed-form c_1 and the formula
+    # route, so exactly those two lines fail, at the bumped cell
+    bad = [line.strip() for line in out.splitlines() if "MISMATCH" in line]
+    assert [line.split(":")[0] for line in bad] == [
+        "explicit-c1-vs-convolution",
+        "explicit-triangle-vs-lift",
+    ]
+    assert all("MISMATCH at n=6, k=2," in line for line in bad)
 
 
 def test_verify_adjudicate(capsys):

@@ -123,7 +123,17 @@ def test_json_non_object_rejected(text):
 
 
 @pytest.mark.parametrize(
-    "values", ["5", '["a"]', "[1, [2]]", "[[1], 2]", "[[1], [2, 3.5]]"]
+    "values",
+    [
+        "5",
+        '["a"]',
+        "[1, [2]]",
+        "[[1], 2]",
+        "[[1], [2, 3.5]]",
+        # json's true and false load as Python bools, which are ints
+        "[true, false, 2]",
+        "[[1], [2, false]]",
+    ],
 )
 def test_json_values_not_integers_rejected(values):
     text = '{"case": 1, "params": {"a": 2}, "m": 0, "source": "x", "values": %s}'

@@ -112,5 +112,14 @@ def test_case3_product_reports_the_broken_cell(monkeypatch):
     assert report.counterexample.rhs == report.counterexample.lhs + 2**4
 
 
+@pytest.mark.parametrize("name", ["pell-even", "pell-odd"])
+def test_pell_split_builds_only_its_own_parity(name):
+    # N = 2n - p for n <= 30: thirty c_2 rows of one parity, not every
+    # row up to 2 * 30
+    cases._c2_row.cache_clear()
+    assert check_identity(name, 30).ok
+    assert cases._c2_row.cache_info().currsize == 30
+
+
 def test_integer_max_n():
     assert_integer_arguments(check_identity, ("mersenne-sum", 20), "max_n")

@@ -213,18 +213,24 @@ def test_broken_automaton_is_caught(monkeypatch):
 
 
 def test_corrupted_formula_is_caught(monkeypatch):
-    real = cases.c1_explicit_table
+    real = cases.triangle_formula_table
 
-    def corrupt(spec, N):
-        return bump_cell(real(spec, N), 5, 2)
+    def corrupt(spec, m, N):
+        return bump_cell(real(spec, m, N), 5, 2)
 
-    monkeypatch.setattr(cases, "c1_explicit_table", corrupt)
+    monkeypatch.setattr(cases, "triangle_formula_table", corrupt)
     report = cross_check(CaseSpec(4), 1, max_len=5, triangle_n=6)
     assert not report.ok
+    # at m = 1 the one table is both the closed-form c_1 and the formula
+    # route's triangle, so both of their comparisons fail and no other
     bad = [c for c in report.comparisons if not c.ok]
-    assert bad[0].witness["n"] == 5
-    assert bad[0].witness["k"] == 2
-    assert {"lhs", "rhs"} <= set(bad[0].witness)
+    assert [c.label for c in bad] == [
+        "explicit-c1-vs-convolution",
+        "explicit-triangle-vs-lift",
+    ]
+    for c in bad:
+        assert (c.witness["n"], c.witness["k"]) == (5, 2)
+        assert c.witness["lhs"] == c.witness["rhs"] + 1
 
 
 @pytest.mark.parametrize(
@@ -402,13 +408,13 @@ class TestAdjudication:
         }
 
     def test_corrupted_form_is_caught_in_a_later_table(self, monkeypatch):
-        real = cases.cm_explicit_case1_table
+        real = cases.triangle_formula_table
 
-        def corrupt(a, m, N):
-            rows = real(a, m, N)
-            return bump_cell(rows, 7, 4) if (a, m) == (2, 3) else rows
+        def corrupt(spec, m, N):
+            rows = real(spec, m, N)
+            return bump_cell(rows, 7, 4) if (spec, m) == (CaseSpec(1, a=2), 3) else rows
 
-        monkeypatch.setattr(cases, "cm_explicit_case1_table", corrupt)
+        monkeypatch.setattr(cases, "triangle_formula_table", corrupt)
         report = adjudicate_case1_leading_term()
         # five whole tables of 78 cells, then 21 + 4 cells of the sixth
         witness = {"a": 2, "m": 3, "n": 7, "k": 4, "lhs": 1129, "rhs": 1128}
