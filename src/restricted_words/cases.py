@@ -139,10 +139,7 @@ class CaseSpec(_CaseFields):
 
     def alphabet_size(self, m: int) -> int:
         """Full alphabet size once m unrestricted letters are added."""
-        m = _as_param("m", m)
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        return self.base_alphabet + m
+        return self.base_alphabet + _as_param("m", m, 0)
 
     @property
     def seed_count(self) -> int:
@@ -182,9 +179,7 @@ def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
     """The prefix f_0(1..N): valid words of length n-1 over the base
     alphabet, from the closed form for families 1 and 2 and from the
     recurrence at m = 0 for families 3-5."""
-    N = _as_param("N", N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _as_param("N", N, 1)
     a = spec.a
     if spec.case_id == 1:
         return Sequence([1] + [a * (a - 1) ** (n - 2) for n in range(2, N + 1)])
@@ -195,17 +190,8 @@ def f0_prefix(spec: CaseSpec, N: int) -> Sequence:
 
 def fm_sequence(spec: CaseSpec, m: int, N: int) -> Sequence:
     """f_m(1..N) from the family's linear recurrence (``_recurrence``)."""
-    m, N = _as_param("m", m), _as_param("N", N)
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    m, N = _as_param("m", m, 0), _as_param("N", N, 1)
     return Sequence(_iterate(*_recurrence(spec, m), N))
-
-
-def _check_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +292,7 @@ def _repunit_row(b: int, n: int) -> tuple[int, ...]:
 def c1_case3_repunit_table(b: int, N: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..N of family 3's c_1 at a = b+1, where the roots are 1 and
     1/b and the Lucas-sequence sum collapses to plain powers of b."""
-    b, N = _as_param("b", b), _as_param("N", N)
-    _check_positive("b", b)
-    _check_positive("N", N)
+    b, N = _as_param("b", b, 1), _as_param("N", N, 1)
     return tuple(_repunit_row(b, n) for n in range(1, N + 1))
 
 
@@ -369,10 +353,7 @@ def cm_explicit_case1_alt_table(a: int, m: int, N: int) -> tuple[tuple[int, ...]
     (value 3 where the lift gives 2).  Kept so the verification harness
     can demonstrate the disagreement; not part of any computing path.
     """
-    a, m, N = _as_param("a", a), _as_param("m", m), _as_param("N", N)
-    _check_positive("m", m)
-    _check_positive("a", a)
-    _check_positive("N", N)
+    a, m, N = _as_param("a", a, 1), _as_param("m", m, 1), _as_param("N", N, 1)
     return tuple(_variant_row(a, m, n) for n in range(1, N + 1))
 
 
@@ -387,11 +368,7 @@ def fm_explicit(spec: CaseSpec, m: int, n: int) -> int:
     m^(n-2j-1) a^j C(n-1-j, j); at m = 0 the sum collapses to the single
     cell c_1(n,1) = f_0(n).
     """
-    m, n = _as_param("m", m), _as_param("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m, n = _as_param("m", m, 0), _as_param("n", n, 1)
     row = _c1_row(spec.case_id, spec.a, spec.b, n)
     return sum(m**i * cell for i, cell in enumerate(row))
 
@@ -419,7 +396,5 @@ def triangle_formula_table(
     """Rows 1..N of the level-m triangle c_m(n,k), m >= 1, from the
     closed forms: family 2's own c_2 at m = 2, else the closed-form c_1
     rows lifted to level m (at m = 1, the c_1 rows themselves)."""
-    m, N = _as_param("m", m), _as_param("N", N)
-    _check_positive("m", m)
-    _check_positive("N", N)
+    m, N = _as_param("m", m, 1), _as_param("N", N, 1)
     return tuple(_formula_row(spec, m, n) for n in range(1, N + 1))

@@ -11,21 +11,14 @@ Padovan numbers differently.
 Each sequence is computed here from its own recurrence (or 2^n - 1) and
 nothing is imported from ``cases``, so comparisons against the family
 counts stay independent.  n is taken by the package's integer rule
-(``sequences._as_param``): a float raises ``ValueError`` and a numpy
-integer is used as an exact int.
+(``sequences._as_param``): a float raises ``ValueError``, a numpy
+integer is used as an exact int, and an n below the first index (1, or 3
+for padovan) raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from .sequences import _as_param
-
-
-def _index(n, first: int = 1) -> int:
-    # n by the package's integer rule, refused below the first index
-    n = _as_param("n", n)
-    if n < first:
-        raise ValueError(f"n must be >= {first}")
-    return n
 
 
 def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> int:
@@ -39,28 +32,28 @@ def _linear(n: int, seeds: tuple[int, ...], coefficients: tuple[int, ...]) -> in
 
 
 def fibonacci(n: int) -> int:
-    return _linear(_index(n), (1, 1), (1, 1))
+    return _linear(_as_param("n", n, 1), (1, 1), (1, 1))
 
 
 def pell(n: int) -> int:
-    return _linear(_index(n), (1, 2), (2, 1))
+    return _linear(_as_param("n", n, 1), (1, 2), (2, 1))
 
 
 def jacobsthal(n: int) -> int:
-    return _linear(_index(n), (1, 1), (1, 2))
+    return _linear(_as_param("n", n, 1), (1, 1), (1, 2))
 
 
 def mersenne(n: int) -> int:
-    return 2 ** _index(n) - 1
+    return 2 ** _as_param("n", n, 1) - 1
 
 
 def tribonacci(n: int) -> int:
-    return _linear(_index(n), (1, 1, 2), (1, 1, 1))
+    return _linear(_as_param("n", n, 1), (1, 1, 2), (1, 1, 1))
 
 
 def padovan(n: int) -> int:
     # P(3), P(4), P(5) = 1, 0, 1 and P(n) = P(n-2) + P(n-3)
-    return _linear(_index(n, 3) - 2, (1, 0, 1), (0, 1, 1))
+    return _linear(_as_param("n", n, 3) - 2, (1, 0, 1), (0, 1, 1))
 
 
 _DISPATCH = {

@@ -25,13 +25,14 @@ from collections.abc import Iterable
 
 from .cases import CaseSpec
 from .formats import (
+    _any_digits,
     render_bfile,
     render_json,
     render_sequence_csv,
     render_triangle_csv,
 )
 from .identity_checks import IDENTITY_NAMES, check_all, check_identity
-from .sequences import Sequence, Triangle
+from .sequences import Sequence, Triangle, _as_param
 from .verification import (
     SEQUENCE_ROUTES,
     TRIANGLE_ROUTES,
@@ -157,8 +158,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
 
 def cmd_words(args: argparse.Namespace) -> int:
     # --jobs is accepted and checked but has no effect
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _as_param("jobs", args.jobs, 1)
     spec = _spec_from(args)
     s = spec.alphabet_size(args.m)
     if args.list:
@@ -296,18 +296,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     # exact integers of any length print; the caller's limit comes back
     # on return
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        with _any_digits():
+            return args.func(args)
     except (BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

@@ -4,7 +4,10 @@ Three formats: b-file (one "n value" pair per line, 1-indexed, sequences
 only), csv (header ``n,value`` for sequences, ``n,k,value`` for
 triangles), and a json object with keys {case, params, m, source,
 values} where values is a flat list for sequences and a list of rows
-for triangles.  All numbers render as exact decimal integers.
+for triangles.  All numbers render as exact decimal integers.  The
+parsers and renderers take integers of any size: each lifts Python's
+limit on the digits of an int-text conversion for its own call and
+restores the caller's limit on return.
 
 ``json`` is imported by the first json render or parse, not with this
 module, so importing the package (and every CLI call that writes no
@@ -13,17 +16,45 @@ json) starts without it.
 
 from __future__ import annotations
 
-from typing import Iterable
+import sys
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 from .cases import CaseSpec
 from .sequences import Sequence, Triangle, as_sequence
 
 
+@contextmanager
+def _any_digits():
+    # exact integers of any length convert to and from text inside; the
+    # caller's limit comes back on exit
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _csv_rows(text: str, header: str) -> Iterator[list[str]]:
+    # the fields of each nonblank line after the header, as many as it has
+    lines = ((no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    if next(lines, (0, None))[1] != header:
+        raise ValueError(f"expected header {header!r}")
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != header.count(",") + 1:
+            raise ValueError(f"line {lineno}: expected {header!r}, got {line!r}")
+        yield fields
+
+
+@_any_digits()
 def render_bfile(values: Sequence | Iterable[int]) -> str:
     seq = as_sequence(values)
     return "".join(f"{n} {seq.at(n)}\n" for n in range(1, len(seq) + 1))
 
 
+@_any_digits()
 def parse_bfile(text: str) -> Sequence:
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -40,6 +71,7 @@ def parse_bfile(text: str) -> Sequence:
     return Sequence(values)
 
 
+@_any_digits()
 def render_sequence_csv(values: Sequence | Iterable[int]) -> str:
     seq = as_sequence(values)
     lines = ["n,value"]
@@ -47,19 +79,17 @@ def render_sequence_csv(values: Sequence | Iterable[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_digits()
 def parse_sequence_csv(text: str) -> Sequence:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "n,value":
-        raise ValueError("expected header 'n,value'")
     values = []
-    for line in lines[1:]:
-        n, value = line.split(",")
+    for n, value in _csv_rows(text, "n,value"):
         if int(n) != len(values) + 1:
             raise ValueError(f"expected index {len(values) + 1}, got {n}")
         values.append(int(value))
     return Sequence(values)
 
 
+@_any_digits()
 def render_triangle_csv(t: Triangle) -> str:
     lines = ["n,k,value"]
     for n in range(1, t.size + 1):
@@ -67,13 +97,10 @@ def render_triangle_csv(t: Triangle) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_any_digits()
 def parse_triangle_csv(text: str) -> Triangle:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "n,k,value":
-        raise ValueError("expected header 'n,k,value'")
     rows: list[list[int]] = []
-    for line in lines[1:]:
-        n, k, value = (int(x) for x in line.split(","))
+    for n, k, value in (map(int, row) for row in _csv_rows(text, "n,k,value")):
         if n == len(rows) + 1 and k == 1:
             rows.append([])
         if n != len(rows) or not rows or k != len(rows[-1]) + 1:
@@ -82,6 +109,7 @@ def parse_triangle_csv(text: str) -> Triangle:
     return Triangle(rows)
 
 
+@_any_digits()
 def render_json(
     spec: CaseSpec, m: int, source: str, payload: Sequence | Triangle
 ) -> str:
@@ -106,6 +134,7 @@ def render_json(
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@_any_digits()
 def parse_json(text: str) -> dict:
     import json
 

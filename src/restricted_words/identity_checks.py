@@ -180,9 +180,7 @@ def check_identity(name: str, max_n: int = 30) -> IdentityReport:
         raise ValueError(
             f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}"
         ) from None
-    max_n = _as_param("max_n", max_n)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    max_n = _as_param("max_n", max_n, 1)
     checked = 0
     for params, lhs, rhs in runner(max_n):
         checked += 1

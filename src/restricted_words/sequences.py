@@ -34,6 +34,9 @@ ints starts without it.
 
 Integer arguments, here and in the other modules, go through the same
 rule in ``_as_param``, which raises ``ValueError`` naming the argument.
+It holds each argument's least value too: f_m, c_m, f_0 and the classic
+numbers are defined only from some least index, and an int below it
+raises ``ValueError`` naming the argument and that least value.
 """
 
 from __future__ import annotations
@@ -67,16 +70,19 @@ def _as_int(value) -> int:
     raise TypeError(f"sequence values must be integers, got {value!r}")
 
 
-def _as_param(name: str, value):
+def _as_param(name: str, value, least: int | None = None):
     # the same rule for an argument: exact ints (and None) kept, any other
-    # Integral through int(), anything else a ValueError naming it
-    if value is None or type(value) is int:
-        return value
-    from numbers import Integral
+    # Integral through int(), anything else a ValueError naming it; with
+    # least, an int below it is a ValueError naming the bound
+    if type(value) is not int and value is not None:
+        from numbers import Integral
 
-    if isinstance(value, Integral):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 class Sequence:

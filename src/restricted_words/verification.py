@@ -203,10 +203,8 @@ def cross_check(
     by the budget); ``triangle_n`` bounds triangle and sequence indices
     for the formula comparisons.
     """
-    max_len = _as_param("max_len", max_len)
-    triangle_n = _as_param("triangle_n", triangle_n)
-    if max_len < 0 or triangle_n < 1:
-        raise ValueError("max_len must be >= 0 and triangle_n >= 1")
+    max_len = _as_param("max_len", max_len, 0)
+    triangle_n = _as_param("triangle_n", triangle_n, 1)
     N = max(triangle_n, max_len + 2)
     fm = sequence_values(spec, m, N, "recurrence")
     enum_len = min(max_len, words.max_enumerable_length(spec, m, budget))
@@ -297,9 +295,7 @@ class AdjudicationReport(NamedTuple):
 
 def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
     """Demonstrate which family-1 c_m leading term matches the lift."""
-    max_n = _as_param("max_n", max_n)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    max_n = _as_param("max_n", max_n, 1)
     witness = {"a": 1, "m": 2, "n": 2, "k": 1}
     lift_at = triangle_rows(CaseSpec(1, a=1), 2, 2, "eq3").at(2, 1)
     printed = cases.cm_explicit_case1_alt_table(1, 2, 2)[1][0]

@@ -106,12 +106,6 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _integers(**args) -> list:
-    # the arguments by CaseSpec's rule: exact ints kept, any other Integral
-    # through int(), anything else a ValueError that names the argument
-    return [_as_param(name, value) for name, value in args.items()]
-
-
 def _as_letters(word) -> tuple[int, ...]:
     # a string's letters are its digits; any other word's are integers by
     # the rule for arguments
@@ -136,7 +130,6 @@ def is_valid(spec: CaseSpec, m: int, word) -> bool:
     Accepts a string of digits or an iterable of integers; every letter
     must be below the extended alphabet size.
     """
-    (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
     return _rule(spec, _checked_letters(_as_letters(word), s))
 
@@ -183,17 +176,10 @@ def _charged_letters(s: int) -> int:
     return max(s, 2)
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-
-
 def _enumerable_alphabet(spec: CaseSpec, m: int, length: int, budget: int) -> int:
-    # the alphabet size, once the arguments are valid and the charge for
+    # the alphabet size, once the budget and m are valid and the charge for
     # the words of the given length fits the budget
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    _check_budget(budget)
+    budget = _as_param("budget", budget, 1)
     s = spec.alphabet_size(m)
     charged = _charged_letters(s)
     # at least 2**length, so certainly over a budget of fewer bits; the
@@ -220,7 +206,7 @@ def iter_words(
     the first word is asked for; the words of ``itertools.product`` are
     then filtered through the family's rule alone, the one ``is_valid``
     applies after its checks, with no check repeated per word."""
-    m, length, budget = _integers(m=m, length=length, budget=budget)
+    m, length = _as_param("m", m), _as_param("length", length, 0)
     s = _enumerable_alphabet(spec, m, length, budget)
     return filter(partial(_rule, spec), itertools.product(range(s), repeat=length))
 
@@ -233,8 +219,7 @@ def max_enumerable_length(
     A one-letter alphabet has a single word per length but is charged
     as two letters, so the cap there is 2^L <= budget.
     """
-    m, budget = _integers(m=m, budget=budget)
-    _check_budget(budget)
+    m, budget = _as_param("m", m), _as_param("budget", budget, 1)
     s = _charged_letters(spec.alphabet_size(m))
     length = 0
     while s ** (length + 1) <= budget:
@@ -503,7 +488,7 @@ def marked_histogram(
 ) -> list[int]:
     """Counts of valid words of the given length, bucketed by how many
     times the marked letter (the alphabet maximum) occurs."""
-    m, length, budget = _integers(m=m, length=length, budget=budget)
+    m, length = _as_param("m", m), _as_param("length", length, 0)
     _enumerable_alphabet(spec, m, length, budget)
     return _histograms(spec, m, length, length)[0]
 
@@ -515,7 +500,7 @@ def marked_histograms(
     with 0..L marked letters, as ``marked_histogram`` gives them, from one
     enumeration of the words of the given length: each shorter word is
     read off the scan at its row padded with 0s."""
-    m, length, budget = _integers(m=m, length=length, budget=budget)
+    m, length = _as_param("m", m), _as_param("length", length, 0)
     _enumerable_alphabet(spec, m, length, budget)
     return _histograms(spec, m, length, 0)
 
@@ -532,9 +517,9 @@ def count_marked_exhaustive(
 ) -> int:
     """Number of valid words with exactly ``marks`` marked letters;
     equals the triangle cell c_m(length+1, marks+1)."""
-    m, length, marks, budget = _integers(
-        m=m, length=length, marks=marks, budget=budget
-    )
+    # the marks check first; marked_histogram bounds length and budget
+    m, length = _as_param("m", m), _as_param("length", length)
+    marks, budget = _as_param("marks", marks), _as_param("budget", budget)
     _check_marks(m, marks)
     hist = marked_histogram(spec, m, length, budget=budget)
     return hist[marks] if marks <= length else 0
@@ -578,7 +563,6 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     giving the next state or -1, and one loop tabulates every rule.  A
     table of more than ``DEFAULT_BUDGET`` moves raises
     :class:`BudgetExceeded` before any move is tabulated."""
-    (m,) = _integers(m=m)
     s = spec.alphabet_size(m)
     a = spec.base_alphabet
     cid = spec.case_id
@@ -720,9 +704,7 @@ def _accepted_counts(
 
 def _plain_counts(spec: CaseSpec, m: int, length: int) -> Iterator[list[int]]:
     # the level-m words are the level-(m + 1) words with no mark
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _accepted_counts(spec, m + 1, length, 0)
+    return _accepted_counts(spec, _as_param("m", m, 0) + 1, length, 0)
 
 
 def _last(steps: Iterator):
@@ -742,9 +724,8 @@ def count_automaton(
 ) -> int:
     """Number of valid words of the given length by transfer-matrix DP;
     with ``marks``, only words with that many marked letters count."""
-    m, length, marks = _integers(m=m, length=length, marks=marks)
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    m, length = _as_param("m", m), _as_param("length", length, 0)
+    marks = _as_param("marks", marks)
     if marks is None:
         return _last(_plain_counts(spec, m, length))[0]
     _check_marks(m, marks)
@@ -756,18 +737,14 @@ def count_automaton(
 def automaton_counts(spec: CaseSpec, m: int, length: int) -> list[int]:
     """Numbers of valid words at every length 0..``length``, from one
     transfer-matrix DP pass."""
-    m, length = _integers(m=m, length=length)
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    m, length = _as_param("m", m), _as_param("length", length, 0)
     return [row[0] for row in _plain_counts(spec, m, length)]
 
 
 def automaton_histograms(spec: CaseSpec, m: int, length: int) -> list[list[int]]:
     """For every length L in 0..``length``, the L+1 numbers of valid words
     with 0..L marked letters, from one marked DP pass."""
-    m, length = _integers(m=m, length=length)
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    m, length = _as_param("m", m), _as_param("length", length, 0)
     _check_marks(m)
     rows = _accepted_counts(spec, m, length, length)
     return [row[: L + 1] for L, row in enumerate(rows)]

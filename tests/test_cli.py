@@ -576,6 +576,33 @@ def test_export_csv_round_trip(capsys, tmp_path):
     assert t == composition_triangle(invert_power(cases.f0_prefix(spec, 5), 1))
 
 
+def test_long_export_parses_back_under_the_default_digit_limit(capsys):
+    # values of up to 4498 digits, past the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(
+            capsys, "export", "--case", "1", "--a", "1000", "--m", "1",
+            "--n", "1500", "--format", "bfile", "--out", "-",
+        )
+        assert (code, err) == (0, "")
+        assert parse_bfile(out) == fm_sequence(CaseSpec(1, a=1000), 1, 1500)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "flag, value, err",
+    [
+        ("--max-len", "-1", "error: max_len must be >= 0\n"),
+        ("--triangle-n", "0", "error: triangle_n must be >= 1\n"),
+    ],
+)
+def test_verify_names_the_one_bad_bound(capsys, flag, value, err):
+    assert run_cli(capsys, "verify", "--case", "4", flag, value) == (2, "", err)
+
+
 def test_export_sequence_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "export", "--case", "4", "--m", "1", "--n", "5", "--format",

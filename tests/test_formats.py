@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,3 +141,83 @@ def test_json_values_not_integers_rejected(values):
     text = '{"case": 1, "params": {"a": 2}, "m": 0, "source": "x", "values": %s}'
     with pytest.raises(ValueError, match="^values"):
         parse_json(text % values)
+
+
+# Python's default limit on the digits of an int-text conversion
+DEFAULT_DIGITS = 4300
+# each value but the last longer than that limit
+LONG_VALUES = [3**9100, -(10**4500) - 1, 7]
+
+
+@pytest.fixture
+def default_digit_limit():
+    # the default limit for the test, the caller's limit back afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DEFAULT_DIGITS)
+    yield
+    assert sys.get_int_max_str_digits() == DEFAULT_DIGITS
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "render, parse",
+    [
+        (render_bfile, parse_bfile),
+        (render_sequence_csv, parse_sequence_csv),
+        (
+            lambda seq: render_json(CaseSpec(4), 0, "recurrence", seq),
+            lambda text: parse_json(text)["values"],
+        ),
+    ],
+    ids=["bfile", "csv", "json"],
+)
+def test_long_sequence_round_trip(default_digit_limit, render, parse):
+    seq = Sequence(LONG_VALUES)
+    assert parse(render(seq)) == seq
+
+
+@pytest.mark.parametrize(
+    "render, parse",
+    [
+        (render_triangle_csv, parse_triangle_csv),
+        (
+            lambda t: render_json(CaseSpec(4), 1, "convolution", t),
+            lambda text: parse_json(text)["values"],
+        ),
+    ],
+    ids=["csv", "json"],
+)
+def test_long_triangle_round_trip(default_digit_limit, render, parse):
+    t = Triangle([LONG_VALUES[:1], LONG_VALUES[1:]])
+    assert parse(render(t)) == t
+
+
+def test_limit_comes_back_after_a_refused_parse(default_digit_limit):
+    with pytest.raises(ValueError, match="^line 1: expected 'n value'"):
+        parse_bfile("1 5 9\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n,value\n1,5\n2,7,9\n", "line 3: expected 'n,value', got '2,7,9'"),
+        ("n,value\n\n1\n", "line 3: expected 'n,value', got '1'"),
+    ],
+    ids=["too-many", "too-few"],
+)
+def test_sequence_csv_rejects_wrong_field_count(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_sequence_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n,k,value\n1,1\n", "line 2: expected 'n,k,value', got '1,1'"),
+        ("n,k,value\n1,1,1\n\n2,1,0,4\n", "line 4: expected 'n,k,value', got '2,1,0,4'"),
+    ],
+    ids=["too-few", "too-many"],
+)
+def test_triangle_csv_rejects_wrong_field_count(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_triangle_csv(text)

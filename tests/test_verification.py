@@ -382,6 +382,20 @@ def test_bad_arguments():
         cross_check(CaseSpec(4), 1, triangle_n=0)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"max_len": -1}, "max_len must be >= 0"),
+        ({"triangle_n": 0}, "triangle_n must be >= 1"),
+        # both wrong: max_len is checked first
+        ({"max_len": -1, "triangle_n": 0}, "max_len must be >= 0"),
+    ],
+)
+def test_cross_check_names_the_bound_that_fails(bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cross_check(CaseSpec(4), 1, **bounds)
+
+
 class TestAdjudication:
     def test_outcome(self):
         report = adjudicate_case1_leading_term(max_n=8)
