@@ -9,6 +9,11 @@ parsers and renderers take integers of any size: each lifts Python's
 limit on the digits of an int-text conversion for its own call and
 restores the caller's limit on return.
 
+Every parser fails with a ``ValueError``: a b-file or csv parse names
+the line it refuses, and a json parse checks the header too: ``case``
+and ``params`` through ``CaseSpec``, ``m`` from 0 (1 for a triangle),
+``source`` a string, and no ``true`` or ``false`` for an integer.
+
 ``json`` is imported by the first json render or parse, not with this
 module, so importing the package (and every CLI call that writes no
 json) starts without it.
@@ -21,7 +26,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from .cases import CaseSpec
-from .sequences import Sequence, Triangle, as_sequence
+from .sequences import Sequence, Triangle, _as_param, as_sequence
 
 
 @contextmanager
@@ -36,16 +41,38 @@ def _any_digits():
         sys.set_int_max_str_digits(digits)
 
 
-def _csv_rows(text: str, header: str) -> Iterator[list[str]]:
-    # the fields of each nonblank line after the header, as many as it has
+def _records(text: str, header: str | None = None) -> Iterator[tuple[int, list[int]]]:
+    # (line number, int fields) of each nonblank line: a csv's after its header,
+    # split at commas, a b-file's (no header) at whitespace, '#' comments skipped
     lines = ((no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
-    if next(lines, (0, None))[1] != header:
+    if header is not None and next(lines, (0, None))[1] != header:
         raise ValueError(f"expected header {header!r}")
+    shape, sep = ("n value", None) if header is None else (header, ",")
     for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) != header.count(",") + 1:
-            raise ValueError(f"line {lineno}: expected {header!r}, got {line!r}")
-        yield fields
+        if header is None:
+            line = line.strip()
+            if line.startswith("#"):
+                continue
+        fields = line.split(sep)
+        if len(fields) != len(shape.split(sep)):
+            raise ValueError(f"line {lineno}: expected {shape!r}, got {line!r}")
+        try:
+            fields = [int(field) for field in fields]
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: fields must be integers, got {line!r}"
+            ) from None
+        yield lineno, fields
+
+
+def _sequence(records: Iterator[tuple[int, list[int]]]) -> Sequence:
+    # the values of "n value" records whose indices run 1, 2, 3, ...
+    values = []
+    for lineno, (n, value) in records:
+        if n != len(values) + 1:
+            raise ValueError(f"line {lineno}: expected index {len(values) + 1}, got {n}")
+        values.append(value)
+    return Sequence(values)
 
 
 @_any_digits()
@@ -56,19 +83,7 @@ def render_bfile(values: Sequence | Iterable[int]) -> str:
 
 @_any_digits()
 def parse_bfile(text: str) -> Sequence:
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'n value', got {line!r}")
-        n, value = int(parts[0]), int(parts[1])
-        if n != len(values) + 1:
-            raise ValueError(f"line {lineno}: expected index {len(values) + 1}, got {n}")
-        values.append(value)
-    return Sequence(values)
+    return _sequence(_records(text))
 
 
 @_any_digits()
@@ -81,12 +96,7 @@ def render_sequence_csv(values: Sequence | Iterable[int]) -> str:
 
 @_any_digits()
 def parse_sequence_csv(text: str) -> Sequence:
-    values = []
-    for n, value in _csv_rows(text, "n,value"):
-        if int(n) != len(values) + 1:
-            raise ValueError(f"expected index {len(values) + 1}, got {n}")
-        values.append(int(value))
-    return Sequence(values)
+    return _sequence(_records(text, "n,value"))
 
 
 @_any_digits()
@@ -100,11 +110,11 @@ def render_triangle_csv(t: Triangle) -> str:
 @_any_digits()
 def parse_triangle_csv(text: str) -> Triangle:
     rows: list[list[int]] = []
-    for n, k, value in (map(int, row) for row in _csv_rows(text, "n,k,value")):
+    for lineno, (n, k, value) in _records(text, "n,k,value"):
         if n == len(rows) + 1 and k == 1:
             rows.append([])
         if n != len(rows) or not rows or k != len(rows[-1]) + 1:
-            raise ValueError(f"cell ({n},{k}) out of order")
+            raise ValueError(f"line {lineno}: cell ({n},{k}) out of order")
         rows[-1].append(value)
     return Triangle(rows)
 
@@ -148,8 +158,8 @@ def parse_json(text: str) -> dict:
     if not isinstance(values, list):
         raise ValueError(f"values must be a list, got {type(values).__name__}")
     triangle = bool(values) and isinstance(values[0], list)
-    # json's true and false load as bools, which Sequence would take as
-    # the integers 1 and 0
+    # json's true and false load as bools, which Sequence, CaseSpec and
+    # _as_param would take as the integers 1 and 0
     for row in values if triangle else [values]:
         if isinstance(row, list) and any(type(value) is bool for value in row):
             raise ValueError("values: true and false are not integers")
@@ -161,4 +171,14 @@ def parse_json(text: str) -> dict:
     except TypeError as exc:
         # a value that is not an integer, or a row that is not a list
         raise ValueError(f"values: {exc}") from None
+    params = doc["params"]
+    if not isinstance(params, dict) or not set(params) <= {"a", "b"}:
+        raise ValueError(f"params must be an object with keys from a, b; got {params!r}")
+    for name, value in {"case": doc["case"], **params, "m": doc["m"]}.items():
+        if type(value) is bool or value is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    CaseSpec(doc["case"], **params)
+    _as_param("m", doc["m"], 1 if triangle else 0)
+    if not isinstance(doc["source"], str):
+        raise ValueError(f"source must be a string, got {doc['source']!r}")
     return doc

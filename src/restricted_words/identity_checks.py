@@ -6,20 +6,22 @@ index-split sums, the composition product, the counting identities).
 ``check_identity`` evaluates both sides exactly over a range of n and
 reports either verified or the lowest counterexample with both values.
 
-Where a right-hand side is one of the paper's closed forms, it calls that
-closed form in ``cases``; the classic sequences it is compared with come
-from ``classics``, which computes them independently.
+Seven entries read a classic number as f_m(n) at one (family, a, b, m).
+They are rows of one runner, ``_fm_valued``, that reads f_m through the
+route table (``verification.sequence_values``), so a route substituted
+in ``cases`` or ``words`` reaches them.  The others compute their own
+right-hand sides from ``cases``; the classic sequences come from
+``classics``, which computes them independently.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from . import cases
-from .cases import CaseSpec, c1_case3_repunit_table, f0_prefix, fm_explicit
+from . import cases, verification
+from .cases import CaseSpec, c1_case3_repunit_table
 from .classics import fibonacci, jacobsthal, mersenne, padovan, pell, tribonacci
 from .sequences import Sequence, _as_param, binom, composition_triangle
-from .words import automaton_counts
 
 Checkpoint = tuple[dict[str, int], int, int]
 
@@ -60,12 +62,13 @@ class IdentityReport(NamedTuple):
         return f"{self.name}: COUNTEREXAMPLE at {where}: {c.lhs} != {c.rhs}"
 
 
-def _explicit_transform(a: int, m: int, classic_fn) -> Callable[[int], Iterator[Checkpoint]]:
-    spec = CaseSpec(2, a=a)
-
+def _fm_valued(classic_at, spec: CaseSpec, m: int, source: str, first: int = 1):
+    # classic_at(n) = f_m(n) at one (family, a, b, m), n >= first, its
+    # right side one read of a sequence route
     def run(max_n: int) -> Iterator[Checkpoint]:
-        for n in range(1, max_n + 1):
-            yield {"n": n}, classic_fn(n), fm_explicit(spec, m, n)
+        values = verification.sequence_values(spec, m, max_n, source)
+        for n in range(first, max_n + 1):
+            yield {"n": n}, classic_at(n), values[n - 1]
 
     return run
 
@@ -112,14 +115,6 @@ def _case3_product(max_n: int) -> Iterator[Checkpoint]:
                 yield {"n": n, "b": b, "k": k}, triangle.at(n, k), rhs
 
 
-def _euler_type(max_n: int) -> Iterator[Checkpoint]:
-    # binary words of length n-2, 2^(n-2) = M(n-2) + 1, vs family-4 ternary
-    # words of length n-1
-    counts = automaton_counts(CaseSpec(4), 1, max_n - 1)
-    for n in range(3, max_n + 1):
-        yield {"n": n}, mersenne(n - 2) + 1, counts[n - 1]
-
-
 def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
     # the family-4 row sum f_1(n) = 2^(n-2), less its diagonal c_1(n,n) = 1
     rows = cases.triangle_formula_table(CaseSpec(4), 1, max_n)
@@ -127,29 +122,10 @@ def _mersenne_sum(max_n: int) -> Iterator[Checkpoint]:
         yield {"n": n}, mersenne(n - 2), sum(rows[n - 1][:-1])
 
 
-def _fib_quad(max_n: int) -> Iterator[Checkpoint]:
-    # the quadruple sum is the family-4 c_1 row lifted to level 2, summed
-    spec = CaseSpec(4)
-    for n in range(1, max_n + 1):
-        yield {"n": n}, fibonacci(2 * n - 1), fm_explicit(spec, 2, n)
-
-
-def _tribonacci_sum(max_n: int) -> Iterator[Checkpoint]:
-    rows = cases.triangle_formula_table(CaseSpec(5), 1, max_n)
-    for n in range(1, max_n + 1):
-        yield {"n": n}, tribonacci(n), sum(rows[n - 1])
-
-
-def _padovan_compositions(max_n: int) -> Iterator[Checkpoint]:
-    # compositions of n - 1 into parts 2 and 3, Padovan's P(n + 2)
-    for n, value in enumerate(f0_prefix(CaseSpec(5), max_n), start=1):
-        yield {"n": n}, value, padovan(n + 2)
-
-
 _REGISTRY: dict[str, Callable[[int], Iterator[Checkpoint]]] = {
-    "fib-explicit": _explicit_transform(1, 1, fibonacci),
-    "pell-explicit": _explicit_transform(1, 2, pell),
-    "jacobsthal-explicit": _explicit_transform(2, 1, jacobsthal),
+    "fib-explicit": _fm_valued(fibonacci, CaseSpec(2, a=1), 1, "explicit"),
+    "pell-explicit": _fm_valued(pell, CaseSpec(2, a=1), 2, "explicit"),
+    "jacobsthal-explicit": _fm_valued(jacobsthal, CaseSpec(2, a=2), 1, "explicit"),
     "fib-even": _index_split(1, 0, fibonacci),
     "fib-odd": _index_split(1, 1, fibonacci),
     "jac-even": _index_split(2, 0, jacobsthal),
@@ -157,11 +133,14 @@ _REGISTRY: dict[str, Callable[[int], Iterator[Checkpoint]]] = {
     "pell-even": _pell_split(0),
     "pell-odd": _pell_split(1),
     "case3-product": _case3_product,
-    "euler-type": _euler_type,
+    # from n = 3: M(n-2) + 1 = 2^(n-2), the binary words of length n-2
+    "euler-type": _fm_valued(lambda n: mersenne(n - 2) + 1, CaseSpec(4), 1, "automaton", 3),
     "mersenne-sum": _mersenne_sum,
-    "fib-2n-1-quad": _fib_quad,
-    "tribonacci-sum": _tribonacci_sum,
-    "padovan-compositions": _padovan_compositions,
+    # the quadruple sum is the family-4 c_1 row lifted to level 2, summed
+    "fib-2n-1-quad": _fm_valued(lambda n: fibonacci(2 * n - 1), CaseSpec(4), 2, "explicit"),
+    "tribonacci-sum": _fm_valued(tribonacci, CaseSpec(5), 1, "explicit"),
+    # compositions of n - 1 into parts 2 and 3, Padovan's P(n + 2)
+    "padovan-compositions": _fm_valued(lambda n: padovan(n + 2), CaseSpec(5), 0, "recurrence"),
 }
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(_REGISTRY)

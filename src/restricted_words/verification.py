@@ -4,8 +4,8 @@
 implementation of each sequence and triangle route.  Every route covers
 every family: the sequence routes at every level m >= 0 and the triangle
 routes at every m >= 1, the closed forms ``explicit`` and ``formula``
-included.  The CLI's ``--source`` and :func:`cross_check` both reach
-them through :func:`sequence_values` and :func:`triangle_rows`;
+included.  The CLI's ``--source``, :func:`cross_check` and the f_m-valued
+identities reach them through :func:`sequence_values` and :func:`triangle_rows`;
 :func:`cross_check` gets ``eq3`` by lifting the level-1 ``convolution``
 triangle, f_0's own.  The closed forms are read a whole table at a
 time, each checking its arguments once: ``cases.triangle_formula_table``

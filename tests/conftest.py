@@ -6,23 +6,13 @@ import numpy as np
 import pytest
 
 from restricted_words.cases import CaseSpec
+from restricted_words.verification import default_grid, grid_levels
 
-# every (family, parameters) point exercised by the cross-checks
-GRID_SPECS: list[CaseSpec] = (
-    [CaseSpec(1, a=a) for a in (1, 2, 3)]
-    + [CaseSpec(2, a=a) for a in (1, 2, 3)]
-    + [CaseSpec(3, a=a, b=b) for a, b in ((2, 1), (3, 1), (3, 2), (4, 2))]
-    + [CaseSpec(4), CaseSpec(5)]
-)
-
-
-def levels_for(spec: CaseSpec) -> tuple[int, ...]:
-    return (0, 1, 2, 3) if spec.case_id == 4 else (0, 1, 2)
-
-
-GRID_POINTS: list[tuple[CaseSpec, int]] = [
-    (spec, m) for spec in GRID_SPECS for m in levels_for(spec)
-]
+# every (family, parameters, level) point exercised by the cross-checks
+GRID_POINTS: list[tuple[CaseSpec, int]] = default_grid()
+# its (family, parameters) points, in grid order
+GRID_SPECS: list[CaseSpec] = list(dict.fromkeys(spec for spec, _ in GRID_POINTS))
+levels_for = grid_levels
 
 
 def spec_id(spec: CaseSpec) -> str:

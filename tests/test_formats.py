@@ -84,7 +84,7 @@ def test_triangle_csv_rejects_out_of_order_cells():
 
 
 def test_triangle_csv_rejects_a_row_before_the_first():
-    with pytest.raises(ValueError, match=r"^cell \(0,1\) out of order$"):
+    with pytest.raises(ValueError, match=r"^line 2: cell \(0,1\) out of order$"):
         parse_triangle_csv("n,k,value\n0,1,5\n")
 
 
@@ -221,3 +221,49 @@ def test_sequence_csv_rejects_wrong_field_count(text, message):
 def test_triangle_csv_rejects_wrong_field_count(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse_triangle_csv(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_bfile, "1 5\n2 x\n", "line 2: fields must be integers, got '2 x'"),
+        (parse_bfile, "# n value\n1 5\n\n3 7\n", "line 4: expected index 2, got 3"),
+        (parse_sequence_csv, "n,value\n1,5\n2,0.5\n", "line 3: fields must be integers, got '2,0.5'"),
+        (parse_sequence_csv, "n,value\n1,5\n3,7\n", "line 3: expected index 2, got 3"),
+        (parse_triangle_csv, "n,k,value\n1,1,1\n2,2,3\n", r"line 3: cell \(2,2\) out of order"),
+        (parse_triangle_csv, "n,k,value\n1,1,1\n2,1,\n", "line 3: fields must be integers, got '2,1,'"),
+    ],
+    ids=["bfile-field", "bfile-index", "csv-field", "csv-index", "triangle-cell", "triangle-field"],
+)
+def test_parsers_name_the_line_they_refuse(parse, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse(text)
+
+
+JSON_DOC = '{"case": %s, "params": %s, "m": %s, "source": %s, "values": %s}'
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("9", '{"z": 1.5}', "-3", '"nope"', "[1]"), "params must be an object"),
+        (("true", "[]", "1.5", "7", "[1]"), "params must be an object"),
+        (("9", "{}", "0", '"x"', "[1]"), "case_id must be one of"),
+        (("true", "{}", "0", '"x"', "[1]"), "case must be an integer, got True"),
+        (("1.0", '{"a": 2}', "0", '"x"', "[1]"), "case_id must be an integer"),
+        (("4", '{"a": 2}', "0", '"x"', "[1]"), "case 4 takes no parameters"),
+        (("1", '{"a": false}', "0", '"x"', "[1]"), "a must be an integer, got False"),
+        (("3", '{"a": 2, "b": 2}', "0", '"x"', "[1]"), "case 3 needs a > b >= 1"),
+        (("1", '{"a": 2}', "1.5", '"x"', "[1]"), "m must be an integer, got 1.5"),
+        (("1", '{"a": 2}', "null", '"x"', "[1]"), "m must be an integer, got None"),
+        (("1", '{"a": 2}', "true", '"x"', "[1]"), "m must be an integer, got True"),
+        (("1", '{"a": 2}', "-3", '"x"', "[1]"), "m must be >= 0$"),
+        (("1", '{"a": 2}', "0", '"x"', "[[1], [2, 3]]"), "m must be >= 1$"),
+        (("1", '{"a": 2}', "0", "7", "[1]"), "source must be a string, got 7"),
+        (("1", '{"a": 2}', "0", "null", "[1]"), "source must be a string, got None"),
+    ],
+)
+def test_json_header_refused(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        parse_json(JSON_DOC % fields)
+

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import assert_integer_arguments, bump_cell
 
-from restricted_words import cases, identity_checks
+from restricted_words import cases, identity_checks, words
 from restricted_words.identity_checks import (
     IDENTITY_NAMES,
     check_all,
@@ -123,3 +123,41 @@ def test_pell_split_builds_only_its_own_parity(name):
 
 def test_integer_max_n():
     assert_integer_arguments(check_identity, ("mersenne-sum", 20), "max_n")
+
+
+def _one_larger_at(real, at: int):
+    # the route with f_m(at) one larger: fm_explicit takes n and gives one
+    # value, fm_sequence and automaton_counts give f_m(1), f_m(2), ...
+    def route(spec, m, last):
+        values = real(spec, m, last)
+        if isinstance(values, int):
+            return values + (last == at)
+        values = list(values)
+        values[at - 1] += 1
+        return values
+
+    return route
+
+
+# (module, route, identity, n, classic number at n) for each f_m-valued identity
+SEAMS = [
+    (cases, "fm_explicit", "fib-explicit", 5, 5),
+    (cases, "fm_explicit", "pell-explicit", 5, 29),
+    (cases, "fm_explicit", "jacobsthal-explicit", 5, 11),
+    (cases, "fm_explicit", "fib-2n-1-quad", 5, 34),
+    (cases, "fm_explicit", "tribonacci-sum", 5, 7),
+    (words, "automaton_counts", "euler-type", 7, 32),
+    (cases, "fm_sequence", "padovan-compositions", 8, 3),
+]
+
+
+@pytest.mark.parametrize("module, route, name, n, classic", SEAMS, ids=[s[2] for s in SEAMS])
+def test_a_substituted_route_reaches_its_identity(monkeypatch, module, route, name, n, classic):
+    # each f_m-valued identity reads its route as the route table does: a
+    # corrupted route gives the lowest counterexample, the classic number
+    # on the left and the route's value on the right
+    monkeypatch.setattr(module, route, _one_larger_at(getattr(module, route), n))
+    report = check_identity(name, 12)
+    assert report.counterexample == ({"n": n}, classic, classic + 1)
+    assert report.describe() == f"{name}: COUNTEREXAMPLE at n={n}: {classic} != {classic + 1}"
+
