@@ -108,8 +108,9 @@ class CaseSpec(_CaseFields):
 
     def __new__(cls, case_id: int, a: int | None = None, b: int | None = None):
         case_id = _as_param("case_id", case_id)
-        a = _as_param("a", a)
-        b = _as_param("b", b)
+        # None is an absent parameter
+        a = None if a is None else _as_param("a", a)
+        b = None if b is None else _as_param("b", b)
         if case_id not in CASE_IDS:
             raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id}")
         if case_id in (1, 2):

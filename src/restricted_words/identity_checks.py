@@ -10,18 +10,19 @@ Seven entries read a classic number as f_m(n) at one (family, a, b, m).
 They are rows of one runner, ``_fm_valued``, that reads f_m through the
 route table (``verification.sequence_values``), so a route substituted
 in ``cases`` or ``words`` reaches them.  The others compute their own
-right-hand sides from ``cases``; the classic sequences come from
-``classics``, which computes them independently.
+right-hand sides from ``cases`` and ``sequences``, read through those
+modules at call time, so a substituted one reaches them too; the classic
+sequences come from ``classics``, which computes them independently.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from . import cases, verification
-from .cases import CaseSpec, c1_case3_repunit_table
+from . import cases, sequences, verification
+from .cases import CaseSpec
 from .classics import fibonacci, jacobsthal, mersenne, padovan, pell, tribonacci
-from .sequences import Sequence, _as_param, binom, composition_triangle
+from .sequences import Sequence, _as_param, binom
 
 Checkpoint = tuple[dict[str, int], int, int]
 
@@ -103,8 +104,10 @@ def _case3_product(max_n: int) -> Iterator[Checkpoint]:
     # triangle reads only the weights up to n, so one per b serves every n
     tables = {
         b: (
-            composition_triangle(Sequence(b**i - 1 for i in range(1, max_n + 1))),
-            c1_case3_repunit_table(b, max_n),
+            sequences.composition_triangle(
+                Sequence(b**i - 1 for i in range(1, max_n + 1))
+            ),
+            cases.c1_case3_repunit_table(b, max_n),
         )
         for b in (2, 3)
     }

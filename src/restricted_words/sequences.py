@@ -71,10 +71,10 @@ def _as_int(value) -> int:
 
 
 def _as_param(name: str, value, least: int | None = None):
-    # the same rule for an argument: exact ints (and None) kept, any other
-    # Integral through int(), anything else a ValueError naming it; with
-    # least, an int below it is a ValueError naming the bound
-    if type(value) is not int and value is not None:
+    # the same rule for an argument: exact ints kept, any other Integral
+    # through int(), anything else, None included, a ValueError naming it;
+    # with least, an int below it is a ValueError naming the bound
+    if type(value) is not int:
         from numbers import Integral
 
         if not isinstance(value, Integral):

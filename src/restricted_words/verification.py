@@ -30,32 +30,27 @@ everywhere, while the m-power variant already fails at
 c_1 of each a, built once and lifted to m = 1, 2 and 3.
 
 Routes and formulas call through module attributes
-(``cases.triangle_formula_table``, ``words.automaton_counts`` and
-friends) at call time, so a test can substitute a corrupted one and
-watch the harness catch it.
+(``cases.triangle_formula_table``, ``words.automaton_counts``,
+``sequences.lift_triangle`` and friends) at call time, so a test can
+substitute a corrupted one and watch the harness catch it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import cases, words
+from . import cases, sequences, words
 from .cases import CaseSpec
-from .sequences import (
-    Triangle,
-    _as_param,
-    composition_triangle,
-    invert_power,
-    lift_triangle,
-    row_sums,
-)
+from .sequences import Triangle, _as_param
 from .words import DEFAULT_BUDGET
 
 
 # name -> (spec, m, N) -> f_m(1..N); every route gives the same integers
 SEQUENCE_ROUTES = {
     "recurrence": lambda spec, m, N: list(cases.fm_sequence(spec, m, N)),
-    "invert": lambda spec, m, N: list(invert_power(cases.f0_prefix(spec, N), m)),
+    "invert": lambda spec, m, N: list(
+        sequences.invert_power(cases.f0_prefix(spec, N), m)
+    ),
     "explicit": lambda spec, m, N: [
         cases.fm_explicit(spec, m, n) for n in range(1, N + 1)
     ],
@@ -63,12 +58,12 @@ SEQUENCE_ROUTES = {
 }
 # name -> (spec, m, N) -> the triangle c_m(n,k), 1 <= k <= n <= N
 TRIANGLE_ROUTES = {
-    "convolution": lambda spec, m, N: composition_triangle(
-        invert_power(cases.f0_prefix(spec, N), m - 1)
+    "convolution": lambda spec, m, N: sequences.composition_triangle(
+        sequences.invert_power(cases.f0_prefix(spec, N), m - 1)
     ),
     "formula": lambda spec, m, N: Triangle(cases.triangle_formula_table(spec, m, N)),
-    "eq3": lambda spec, m, N: lift_triangle(
-        composition_triangle(cases.f0_prefix(spec, N)), m
+    "eq3": lambda spec, m, N: sequences.lift_triangle(
+        sequences.composition_triangle(cases.f0_prefix(spec, N)), m
     ),
 }
 
@@ -221,8 +216,9 @@ def cross_check(
     ]
     c1 = triangle_rows(spec, 1, N, "convolution")
     if m >= 1:
-        cm = lift_triangle(c1, m)
-        rows.append(("recurrence-vs-triangle-row-sums", "n", fm, row_sums(cm).values))
+        cm = sequences.lift_triangle(c1, m)
+        sums = sequences.row_sums(cm).values
+        rows.append(("recurrence-vs-triangle-row-sums", "n", fm, sums))
         # at m = 1 the lift is c_1 itself, so there is nothing to compare
         if m >= 2:
             direct = triangle_rows(spec, m, N, "convolution").rows
@@ -303,7 +299,11 @@ def adjudicate_case1_leading_term(max_n: int = 12) -> AdjudicationReport:
 
     # one eq3 c_1 per a, lifted to each m
     c1s = {a: triangle_rows(CaseSpec(1, a=a), 1, max_n, "eq3") for a in (1, 2, 3)}
-    lifts = {(a, m): lift_triangle(c1s[a], m).rows for a in (1, 2, 3) for m in (1, 2, 3)}
+    lifts = {
+        (a, m): sequences.lift_triangle(c1s[a], m).rows
+        for a in (1, 2, 3)
+        for m in (1, 2, 3)
+    }
 
     def against_lift(label, form):
         # the (a, m) tables in order, one count and one witness across them

@@ -44,17 +44,19 @@ Three independent routes to the same numbers:
   alphabet as two letters.
 * ``count_automaton``: a hand-built DFA per family driven by a
   transfer-matrix DP over arbitrary-precision ints, usable far beyond
-  enumeration range (length 500 and up).  One loop steps the counting
-  quotient of the m = 1 DFA, 2 blocks for families 1-3 and 3 for 4-5,
-  whose states count alike at every length (Kemeny and Snell's
-  lumpability).  The m free letters of level m move as the m = 1 DFA's
-  one does, so one quotient per family serves every level: m - 1 free
-  letters add no mark and the marked one adds one, and plain level-m
-  words are the level-(m + 1) words with no mark.  It reaches every
-  shorter length on its way, so ``automaton_counts`` (counts at lengths
-  0..N) and ``automaton_histograms`` (counts by number of marked
-  letters at lengths 0..N) read a whole sequence or triangle off one
-  pass instead of recounting each prefix.  An m = 1 DFA whose table
+  enumeration range (length 500 and up).  Each family is written once,
+  as its m = 1 table, and level m's table repeats that table's one free
+  column m times.  One loop steps the counting quotient of the m = 1
+  DFA, 2 blocks for families 1-3 and 3 for 4-5, whose states count
+  alike at every length (Kemeny and Snell's lumpability).  The m free
+  letters of level m move as the m = 1 DFA's one does, so one quotient
+  per family serves every level: m - 1 free letters add no mark and the
+  marked one adds one, and plain level-m words are the level-(m + 1)
+  words with no mark.  It reaches every shorter length on its way, so
+  ``automaton_counts`` (counts at lengths 0..N) and
+  ``automaton_histograms`` (counts by number of marked letters at
+  lengths 0..N) read a whole sequence or triangle off one pass instead
+  of recounting each prefix.  An m = 1 DFA whose table
   would hold more than ``DEFAULT_BUDGET`` moves (states times letters;
   family 1 at a = 2000 has 2001 x 2001) raises ``BudgetExceeded``
   before any move is tabulated.
@@ -559,76 +561,53 @@ class Dfa(NamedTuple):
 def build_dfa(spec: CaseSpec, m: int) -> Dfa:
     """Hand-built automaton recognizing exactly the valid words.
 
-    Each family is written as a step rule ``step(state, letter)``
-    giving the next state or -1, and one loop tabulates every rule.  A
-    table of more than ``DEFAULT_BUDGET`` moves raises
-    :class:`BudgetExceeded` before any move is tabulated."""
+    Each family is written once, as its m = 1 table: ``accepting`` and a
+    row per state giving the next state, or -1, for each base letter and
+    then for the one free letter.  Level m's table is that one with its
+    free column repeated m times (dropped at m = 0), so the m free letters
+    move alike.  A table of more than ``DEFAULT_BUDGET`` moves raises
+    :class:`BudgetExceeded` before any row is built."""
     s = spec.alphabet_size(m)
     a = spec.base_alphabet
     cid = spec.case_id
     if cid == 1:
         # state 0: last letter unrestricted or none; state c+1: last
         # restricted letter was c
-        def step(state: int, letter: int) -> int:
-            if letter >= a:
-                return 0
-            return -1 if state == letter + 1 else letter + 1
-
         accepting = (True,) * (a + 1)
+
+        def row(state: int) -> tuple[int, ...]:
+            return (*(-1 if state == c else c for c in range(1, a + 1)), 0)
+
     elif cid == 2:
         # state 0: between runs; states 1+2c / 2+2c: open run of c with
-        # odd / even length
-        def step(state: int, letter: int) -> int:
-            if state % 2:
-                # an odd run must go on with its own letter
-                return state + 1 if letter == (state - 1) // 2 else -1
-            return 1 + 2 * letter if letter < a else 0
-
+        # odd / even length.  An odd run must go on with its own letter
         accepting = tuple(st % 2 == 0 for st in range(2 * a + 1))
+
+        def row(state: int) -> tuple[int, ...]:
+            if state % 2:
+                return (*(state + 1 if c == state // 2 else -1 for c in range(a)), -1)
+            return (*range(1, 2 * a, 2), 0)
+
     elif cid == 3:
-        # only "was the previous letter 0" matters
-        def step(state: int, letter: int) -> int:
-            if letter == 0:
-                return 1
-            return -1 if state == 1 and letter <= spec.b else 0
-
+        # only "was the previous letter 0" matters; the free letter is
+        # above b
         accepting = (True, True)
+
+        def row(state: int) -> tuple[int, ...]:
+            return (1, *(-1 if state and x <= spec.b else 0 for x in range(1, a)), 0)
+
     elif cid == 4:
-        # state 0: neutral; state 1: after the single 1, a 0 is owed;
-        # state 2: inside a 0-run
-        def step(state: int, letter: int) -> int:
-            if letter > 1:
-                return -1 if state == 1 else 0
-            if letter == 1:
-                return -1 if state == 1 else 1
-            return 2 if state in (1, 2) else -1
-
+        # columns 0, 1, free.  State 0: neutral; state 1: after the single
+        # 1, a 0 is owed; state 2: inside a 0-run
         accepting = (True, False, True)
+        row = ((-1, 1, 0), (2, -1, -1), (2, 1, 0)).__getitem__
     else:
-        # family 5: 0-run length mod 2 and 1-run length mod 3
-        # states: 0 neutral; 1/2: 0-run odd/even; 3/4/5: 1-run mod 1/2/0
-        def step(state: int, letter: int) -> int:
-            if letter > 1:
-                return 0 if state in (0, 2, 5) else -1
-            if letter == 0:
-                if state in (0, 5):
-                    return 1
-                if state == 1:
-                    return 2
-                if state == 2:
-                    return 1
-                return -1
-            if state in (0, 2):
-                return 3
-            if state == 3:
-                return 4
-            if state == 4:
-                return 5
-            if state == 5:
-                return 3
-            return -1
-
+        # columns 0, 1, free.  State 0: neutral; 1/2: 0-run odd/even;
+        # 3/4/5: 1-run length mod 3 is 1/2/0
         accepting = (True, False, True, False, False, True)
+        row = (
+            (1, 3, 0), (2, -1, -1), (1, 3, 0), (-1, 4, -1), (-1, 5, -1), (1, 3, 0)
+        ).__getitem__
     states = len(accepting)
     moves = states * s
     if moves > DEFAULT_BUDGET:
@@ -637,7 +616,7 @@ def build_dfa(spec: CaseSpec, m: int) -> Dfa:
             DEFAULT_BUDGET,
             f"tabulating the automaton's {states} states x {s} letters = {moves} moves",
         )
-    trans = tuple(tuple(step(st, x) for x in range(s)) for st in range(states))
+    trans = tuple(r[:-1] + r[-1:] * m for r in map(row, range(states)))
     return Dfa(0, trans, accepting)
 
 
@@ -725,9 +704,9 @@ def count_automaton(
     """Number of valid words of the given length by transfer-matrix DP;
     with ``marks``, only words with that many marked letters count."""
     m, length = _as_param("m", m), _as_param("length", length, 0)
-    marks = _as_param("marks", marks)
     if marks is None:
         return _last(_plain_counts(spec, m, length))[0]
+    marks = _as_param("marks", marks)
     _check_marks(m, marks)
     if marks > length:
         return 0

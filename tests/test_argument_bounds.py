@@ -20,6 +20,7 @@ from restricted_words.verification import (
     adjudicate_case1_leading_term,
     cross_check,
     sequence_values,
+    triangle_rows,
 )
 from restricted_words.words import (
     automaton_counts,
@@ -138,3 +139,26 @@ def test_check_all_refuses_max_n_below_one():
     # checked here; check_identity's row covers the bound itself
     with pytest.raises(ValueError, match="^max_n must be >= 1$"):
         check_all(0)
+
+
+# None names no integer: every bounded argument refuses it as it refuses
+# any other non-integer, those worded otherwise too.  Only count_automaton's
+# marks gives it a meaning, the plain count
+NONE_REFUSED = {
+    **{
+        key: (call, name)
+        for key, (call, name, _) in BOUNDS.items()
+        if key != "count_automaton-marks"
+    },
+    "count_marked_exhaustive-m": (lambda v: count_marked_exhaustive(SPEC, v, 2, 0), "m"),
+    "automaton_histograms-m": (lambda v: automaton_histograms(SPEC, v, 2), "m"),
+    "sequence_values-N": (lambda v: sequence_values(SPEC, 1, v, "recurrence"), "N"),
+    "triangle_rows-m": (lambda v: triangle_rows(SPEC, v, 3, "eq3"), "m"),
+    "triangle_rows-N": (lambda v: triangle_rows(SPEC, 1, v, "eq3"), "N"),
+}
+
+
+@pytest.mark.parametrize("call, name", NONE_REFUSED.values(), ids=list(NONE_REFUSED))
+def test_none_refused(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
+        call(None)

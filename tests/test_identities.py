@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import assert_integer_arguments, bump_cell
 
-from restricted_words import cases, identity_checks, words
+from restricted_words import cases, sequences, words
 from restricted_words.identity_checks import (
     IDENTITY_NAMES,
     check_all,
@@ -99,17 +99,37 @@ def test_case3_product_counts_every_cell():
 
 def test_case3_product_reports_the_broken_cell(monkeypatch):
     # the closed form as the identity calls it, off by one at one cell
+    real = cases.c1_case3_repunit_table
+
     def off_at_7_3_4(b, N):
-        rows = cases.c1_case3_repunit_table(b, N)
+        rows = real(b, N)
         return bump_cell(rows, 7, 4) if b == 3 else rows
 
-    monkeypatch.setattr(identity_checks, "c1_case3_repunit_table", off_at_7_3_4)
+    monkeypatch.setattr(cases, "c1_case3_repunit_table", off_at_7_3_4)
     report = check_identity("case3-product", 12)
     assert not report.ok
     assert report.counterexample.params == {"n": 7, "b": 3, "k": 4}
     # checks run n = 1..6 (2n each), then n = 7 for b = 2, then k = 1..4
     assert report.checked == 42 + 7 + 4
     assert report.counterexample.rhs == report.counterexample.lhs + 2**4
+
+
+def test_a_substituted_triangle_reaches_case3_product(monkeypatch):
+    # the composition triangle is read through sequences at call time: one
+    # cell (5, 2) one larger gives the lowest counterexample there, at b = 2
+    real = sequences.composition_triangle
+    monkeypatch.setattr(
+        sequences,
+        "composition_triangle",
+        lambda f: sequences.Triangle(bump_cell(real(f).rows, 5, 2)),
+    )
+    report = check_identity("case3-product", 12)
+    lhs, rhs = report.counterexample.lhs, report.counterexample.rhs
+    assert report.counterexample.params == {"n": 5, "b": 2, "k": 2}
+    assert lhs == rhs + 1
+    assert report.describe() == (
+        f"case3-product: COUNTEREXAMPLE at n=5, b=2, k=2: {lhs} != {rhs}"
+    )
 
 
 @pytest.mark.parametrize("name", ["pell-even", "pell-odd"])

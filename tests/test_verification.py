@@ -15,7 +15,7 @@ from conftest import (
     spec_id,
 )
 
-from restricted_words import cases, verification, words
+from restricted_words import cases, sequences, verification, words
 from restricted_words.cases import CaseSpec
 from restricted_words.identity_checks import Counterexample, IdentityReport
 from restricted_words.verification import (
@@ -107,14 +107,14 @@ def test_one_enumeration_per_point(monkeypatch):
 def test_composition_triangles_built_per_point(monkeypatch, m, builds):
     # c_1 from f0, which the eq3 lift reuses, and at m >= 2 the triangle
     # of the transformed sequence
-    real = verification.composition_triangle
+    real = sequences.composition_triangle
     calls = []
 
     def counted(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(verification, "composition_triangle", counted)
+    monkeypatch.setattr(sequences, "composition_triangle", counted)
     report = cross_check(CaseSpec(2, a=2), m, max_len=5, triangle_n=6)
     assert len(calls) == builds
     assert report.ok, report.describe()
@@ -173,19 +173,55 @@ def test_corrupted_composition_triangle_is_caught(monkeypatch, m, witness):
     # c_1 and the transformed sequence's own triangle part; at m = 1 both
     # would be c_1, so that line is not reported, and c_1's closed form
     # catches the cell
-    real = verification.composition_triangle
+    real = sequences.composition_triangle
 
     def corrupt(f):
         rows = [list(row) for row in real(f).rows]
         rows[2][1] += 1
         return verification.Triangle(rows)
 
-    monkeypatch.setattr(verification, "composition_triangle", corrupt)
+    monkeypatch.setattr(sequences, "composition_triangle", corrupt)
     report = cross_check(CaseSpec(2, a=2), m, max_len=5, triangle_n=6)
     found = {c.label: c.witness for c in report.comparisons}
     assert ("lift-vs-transformed-convolution" in found) == (m >= 2)
     for label, cell in witness.items():
         assert (found[label]["n"], found[label]["k"]) == cell, label
+
+
+def _bumped(value):
+    # a sequence with entry 4, or a triangle with cell (4, 2), one larger;
+    # a triangle of fewer rows as it was
+    if isinstance(value, sequences.Sequence):
+        return sequences.Sequence(v + (n == 4) for n, v in enumerate(value, 1))
+    if len(value.rows) < 4:
+        return value
+    return sequences.Triangle(bump_cell(value.rows, 4, 2))
+
+
+# a sequences route -> the harness's first mismatch with it bumped
+FIRST_MISMATCH = {
+    "invert_power": "recurrence-vs-invert-transform: MISMATCH at n=4, lhs=16, rhs=17",
+    "row_sums": "recurrence-vs-triangle-row-sums: MISMATCH at n=4, lhs=16, rhs=17",
+    "lift_triangle": "recurrence-vs-triangle-row-sums: MISMATCH at n=4, lhs=16, rhs=17",
+}
+
+
+@pytest.mark.parametrize("name, first", FIRST_MISMATCH.items(), ids=list(FIRST_MISMATCH))
+def test_a_substituted_sequence_route_reaches_the_harness(monkeypatch, name, first):
+    # the harness reads every sequences route through the module at call
+    # time: one entry or cell one larger gives the lowest mismatch
+    real = getattr(sequences, name)
+    monkeypatch.setattr(sequences, name, lambda *args: _bumped(real(*args)))
+    report = cross_check(CaseSpec(2, a=2), 2, max_len=5, triangle_n=6)
+    assert next(c for c in report.comparisons if not c.ok).describe() == first
+
+
+def test_a_substituted_lift_reaches_the_eq3_route(monkeypatch):
+    real = sequences.lift_triangle
+    monkeypatch.setattr(sequences, "lift_triangle", lambda *args: _bumped(real(*args)))
+    spec = CaseSpec(2, a=2)
+    direct = triangle_rows(spec, 2, 6, "convolution")
+    assert triangle_rows(spec, 2, 6, "eq3").rows == bump_cell(direct.rows, 4, 2)
 
 
 def test_one_quotient_per_family():
